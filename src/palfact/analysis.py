@@ -12,7 +12,7 @@ from .eertree import PalindromeIndex, SharedEertree
 from .engine import palindromic_prefixes
 from .errors import AmbiguousHorizon
 from .pallen import _palindromic_spans_by_start, pal_dp
-from .streams import InfiniteWord, materialize, spec_of
+from .streams import materialize, spec_of
 from .words import Word
 
 
@@ -26,7 +26,7 @@ def reachable_sets(stream, k_max: int, horizon: int) -> list[set[int]]:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    w = materialize(stream, horizon) if isinstance(stream, InfiniteWord) else Word(stream)[:horizon]
+    w = materialize(stream, horizon)
     n = len(w)
     by_start = _palindromic_spans_by_start(w)
     sets: list[set[int]] = [{0}]
@@ -105,7 +105,7 @@ def bound_report(stream, horizon: int, factor_window: int = 100) -> BoundReport:
     """Prefix and windowed-factor maxima of the minimum factor count."""
     if factor_window > horizon:
         raise ValueError("factor_window must not exceed the horizon")
-    w = materialize(stream, horizon) if isinstance(stream, InfiniteWord) else Word(stream)[:horizon]
+    w = materialize(stream, horizon)
     dp = PalindromeIndex(w, track_min=True).min_factors
     prefix_max = max(dp[1:], default=0)
     factor_max = _windowed_factor_max(w, factor_window)
@@ -131,7 +131,7 @@ def bound_report(stream, horizon: int, factor_window: int = 100) -> BoundReport:
 def alphabet_bound_check(stream, horizon: int) -> str:
     """If every prefix fits in two palindromic factors and the stream has at
     least three palindromic prefixes, its alphabet must be binary."""
-    w = materialize(stream, horizon) if isinstance(stream, InfiniteWord) else Word(stream)[:horizon]
+    w = materialize(stream, horizon)
     dp = PalindromeIndex(w, track_min=True).min_factors
     prefix_max = max(dp[1:], default=0)
     pp = palindromic_prefixes(w, len(w))
@@ -576,7 +576,7 @@ def classify_bound2(stream, horizon: int, factor_window: int = 100) -> Classific
     prefix maximum above 2, or an isolated-letter form with a windowed factor
     maximum above 2, raises immediately.
     """
-    w = materialize(stream, horizon) if isinstance(stream, InfiniteWord) else Word(stream)[:horizon]
+    w = materialize(stream, horizon)
     n = len(w)
     if n < 3:
         raise AmbiguousHorizon("horizon too short to classify anything")

@@ -6,7 +6,8 @@ suffix link (its longest proper palindromic suffix) and a series link that
 jumps past the maximal run of suffix-link ancestors sharing the same
 ``length - link_length`` difference.  Palindromic suffixes of any prefix
 therefore split into O(log n) arithmetic progressions, which is what makes
-the minimum-factorization recurrence and the capped suffix query cheap.
+the minimum-factorization recurrence, the left-greedy walk and the capped
+suffix query cheap.
 
 The structure is single-writer: ``append``/``extend`` grow it, concurrent
 reads of already-indexed positions are safe between writes.
@@ -14,6 +15,7 @@ reads of already-indexed positions are safe between writes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 
@@ -77,6 +79,48 @@ class PalindromeIndex:
         if not self._track_min:
             raise ValueError("index was built without track_min=True")
         return self._min_dp
+
+    def left_greedy_counts(self) -> list[int]:
+        """Left-greedy palindromic factor count of every prefix, in order.
+
+        A new symbol changes the left-greedy factorization only where the
+        whole remainder becomes a palindrome, so the factor starts ("cuts")
+        are kept up to the leftmost cut s with w[s..m] a palindrome, or else
+        the new symbol opens a factor of its own.  s is found by walking the
+        palindromic suffixes at m one series-link group at a time: a group's
+        starts form an arithmetic progression, so its cuts are bisected and
+        tested by congruence.  Each symbol visits O(log n) groups with one
+        bisection each; a plain suffix-link walk is quadratic on (abbb)^n.
+        """
+        lens = self._len
+        diff = self._diff
+        qlink = self._qlink
+        bisect = bisect_left
+        cuts: list[int] = []  # 0-based factor starts of the current prefix
+        counts = []
+        for m, v in enumerate(self._node_at, 1):
+            top = len(cuts)
+            hit = top
+            j = 0
+            while hit == top and lens[v] > 0:
+                first = m - lens[v]  # start of the group's longest member
+                j = bisect(cuts, first, j)
+                if j == top:
+                    break
+                d = diff[v]
+                v = qlink[v]
+                last = m - lens[v] - d  # start of its shortest member
+                while j < top and cuts[j] <= last:
+                    if (cuts[j] - first) % d == 0:
+                        hit = j
+                        break
+                    j += 1
+            if hit < top:
+                del cuts[hit + 1 :]
+            else:
+                cuts.append(m - 1)
+            counts.append(len(cuts))
+        return counts
 
     def node_count(self) -> int:
         """Number of distinct nonempty palindromic factors indexed so far."""

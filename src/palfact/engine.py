@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .eertree import PalindromeIndex
-from .streams import InfiniteWord, materialize, spec_of
-from .words import Word, is_palindrome
+from .streams import materialize, spec_of
+from .words import is_palindrome
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def palindromic_prefixes(stream, horizon: int) -> PalindromicPrefixSeq:
     A prefix of length n is a palindrome exactly when its longest
     palindromic suffix is the whole prefix, so one index pass suffices.
     """
-    w = materialize(stream, horizon) if isinstance(stream, InfiniteWord) else Word(stream)[:horizon]
+    w = materialize(stream, horizon)
     lps = PalindromeIndex(w).lps
     lengths = tuple(i + 1 for i, v in enumerate(lps) if v == i + 1)
     return PalindromicPrefixSeq(spec_of(stream), len(w), lengths)

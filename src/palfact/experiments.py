@@ -275,7 +275,9 @@ def verify_multibonacci(n_max: int = 10) -> ExperimentResult:
 def max_prefix_count(source, horizon: int | None = None) -> int:
     """Maximum minimum-factor count over all prefixes (up to the horizon for
     streams)."""
-    w = materialize(source, horizon) if isinstance(source, InfiniteWord) else Word(source)
+    if not isinstance(source, InfiniteWord):
+        horizon = None  # a finite word is always taken whole
+    w = materialize(source, horizon)
     dp = PalindromeIndex(w, track_min=True).min_factors
     return max(dp[1:], default=0)
 
@@ -369,7 +371,7 @@ class DeletionCheck:
 def deletion_monotonicity_check(stream, letter: int, horizon: int) -> DeletionCheck:
     """Removing every occurrence of one letter never raises the prefix
     maximum."""
-    w = materialize(stream, horizon) if isinstance(stream, InfiniteWord) else Word(stream)[:horizon]
+    w = materialize(stream, horizon)
     if letter not in set(w):
         raise ValueError(f"letter {letter} does not occur in the first {len(w)} symbols")
     b_orig = max_prefix_count(w)

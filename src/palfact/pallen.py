@@ -8,12 +8,11 @@ paths on purpose so each can check the other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 from .eertree import PalindromeIndex
-from .streams import InfiniteWord, materialize
+from .streams import materialize
 from .words import Word, is_palindrome
 
 
@@ -194,7 +193,7 @@ def first_attainment(stream, k_max: int, horizon: int) -> dict[int, int | None]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    w = materialize(stream, horizon) if isinstance(stream, InfiniteWord) else Word(stream)[:horizon]
+    w = materialize(stream, horizon)
     idx = PalindromeIndex(w, track_min=True)
     dp = idx.min_factors
     out: dict[int, int | None] = {k: None for k in range(1, k_max + 1)}
@@ -207,7 +206,3 @@ def first_attainment(stream, k_max: int, horizon: int) -> dict[int, int | None]:
             if not remaining:
                 break
     return out
-
-
-def decomposition_json(dec: Decomposition) -> str:
-    return json.dumps(dec.to_json())

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .eertree import PalindromeIndex
-from .greedy import greedy_profile
-from .streams import InfiniteWord, materialize, spec_of
-from .words import Word
+from .greedy import running_max, right_greedy_counts
+from .streams import materialize, spec_of
 
 
 @dataclass
@@ -63,17 +62,18 @@ class PrefixProfile:
 
 
 def build_profile(stream, horizon: int) -> PrefixProfile:
-    """Minimum and greedy counts for every prefix up to the horizon."""
-    w = materialize(stream, horizon) if isinstance(stream, InfiniteWord) else Word(stream)[:horizon]
-    dp = PalindromeIndex(w, track_min=True).min_factors
-    pal = dp[1:]
-    gp = greedy_profile(w, len(w))
-    max_pal = []
-    best = 0
-    for v in pal:
-        if v > best:
-            best = v
-        max_pal.append(best)
+    """Minimum and greedy counts for every prefix up to the horizon.
+
+    All three arrays come from one forward index: ``min_factors`` from its
+    series-link recurrence, the right-greedy counts from ``lps`` and the
+    left-greedy counts from its series-link walk.
+    """
+    idx = PalindromeIndex(materialize(stream, horizon), track_min=True)
+    pal = idx.min_factors[1:]
+    rg = right_greedy_counts(idx.lps)
+    lg = idx.left_greedy_counts()
+    del idx
+    max_pal = running_max(pal)
     first: dict[int, int | None] = {}
     top = max_pal[-1] if max_pal else 0
     for k in range(1, top + 1):
@@ -83,11 +83,11 @@ def build_profile(stream, horizon: int) -> PrefixProfile:
             first[v] = i + 1
     return PrefixProfile(
         word_spec=spec_of(stream),
-        pal=list(pal),
-        lgpal=gp.lgpal,
-        rgpal=gp.rgpal,
+        pal=pal,
+        lgpal=lg,
+        rgpal=rg,
         max_pal=max_pal,
-        max_lgpal=gp.max_lgpal,
-        max_rgpal=gp.max_rgpal,
+        max_lgpal=running_max(lg),
+        max_rgpal=running_max(rg),
         first_attainment=first,
     )

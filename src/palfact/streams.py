@@ -76,14 +76,15 @@ class InfiniteWord:
 class Periodic(InfiniteWord):
     """v v v ... for a nonempty finite v."""
 
-    def __init__(self, period: Sequence[int], cap: int | None = None):
+    def __init__(self, period: Sequence[int], cap: int | None = None, name: str | None = None):
         super().__init__(cap)
         self.period = Word(period)
+        self.name = name
         if not self.period:
             raise ValueError("period must be nonempty")
 
     def spec_string(self) -> str:
-        return f"periodic:{self.period}"
+        return self.name or f"periodic:{self.period}"
 
     def _extend(self, n: int) -> None:
         buf = self._buf
@@ -255,9 +256,7 @@ def u_ladder(n: int, cap: int | None = None) -> tuple[Word, Word]:
 def u_ladder_periodic(n: int, cap: int | None = None) -> Periodic:
     """The periodic word (u_n v_n)^w over 2**n symbols."""
     u, v = u_ladder(n, cap)
-    p = Periodic(u + v, cap)
-    p.spec_string_override = f"uladderper:{n}"
-    return p
+    return Periodic(u + v, cap, name=f"uladderper:{n}")
 
 
 def word_u_component(n: int, cap: int | None = None) -> tuple[Word, bool]:
@@ -369,6 +368,5 @@ def materialize(source, horizon: int | None = None) -> Word:
 def spec_of(source) -> str:
     """Report label for a word or stream."""
     if isinstance(source, InfiniteWord):
-        override = getattr(source, "spec_string_override", None)
-        return override or source.spec_string()
+        return source.spec_string()
     return f"lit:{Word(source)}"

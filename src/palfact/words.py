@@ -165,7 +165,3 @@ def count_occurrences(w: Sequence[int], factor: Sequence[int]) -> int:
         raise ValueError("occurrence counting needs a nonempty factor")
     t = tuple(w)
     return sum(1 for i in range(len(t) - m + 1) if t[i : i + m] == f)
-
-
-def distinct_symbols(w: Sequence[int]) -> set:
-    return set(w)

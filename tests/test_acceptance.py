@@ -23,6 +23,7 @@ from palfact import (
     max_prefix_count,
     gap_witness,
     lgpal,
+    lgpal_profile,
     minimal_factorizations,
     multibonacci,
     pal_dp,
@@ -201,9 +202,13 @@ def test_criterion_10_performance():
     t0 = time.perf_counter()
     pal_fast(w)
     t_pf = time.perf_counter() - t0
-    ok = t_rg < 2.0 and t_pf < 10.0
+    t0 = time.perf_counter()
+    lgpal_profile(w)
+    t_lg = time.perf_counter() - t0
+    ok = t_rg < 2.0 and t_pf < 10.0 and t_lg < 5.0
     report(10, ok, f"length-1e6 random binary word: right-greedy profile "
-                   f"{t_rg:.2f}s (< 2s), factor-count table {t_pf:.2f}s (< 10s)")
+                   f"{t_rg:.2f}s (< 2s), factor-count table {t_pf:.2f}s (< 10s), "
+                   f"left-greedy profile {t_lg:.2f}s (< 5s)")
 
 
 def test_criterion_11_verify_all(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from palfact.cli import main
 
@@ -154,3 +157,32 @@ def test_cap_override(capsys):
                            "--cap", "100")
     assert code == 2
     assert "cap" in err.lower()
+
+
+# SHA-256 of `profile <spec> --horizon 3000 --format <fmt>` as first released;
+# the per-prefix arrays and their layout must not change with the algorithms.
+PROFILE_DIGESTS = {
+    ("fib", "json"): "a38301efc2c4cef5ff2b329d7bedbd21e340dc1f3be92acfbab044860d911ab0",
+    ("fib", "csv"): "65a56dea87c317ae8cdd608a5ea76c6b89cbf7ab53db7314fcfef248983a69b5",
+    ("U", "json"): "0f4f5675e582581bb47e68fb0ec8482b19c103502f47b99327cf842816f42fd8",
+    ("U", "csv"): "d84e2ad1bd9b709b464b6725c7207a475380413cbc8cafab6d444b878cd83e88",
+    ("mbstream", "json"): "9a9e5e3922da98e515c82c218f4061062f020119065300882b7de4648f318152",
+    ("mbstream", "csv"): "9d91fbced07b34477a8746a509bb871ef847d7b5582caa3007d140d681368e11",
+    ("periodic:aabab", "json"): "ade1bef67b69f5b144aabf5c83f377940d898f60b5947298341bdfd70e421a9a",
+    ("periodic:aabab", "csv"): "48b5ef7e231fb18edf28504a42a7728fd590af533cf0a8d9c5dde676d19b6856",
+}
+
+
+@pytest.mark.parametrize("spec,fmt", sorted(PROFILE_DIGESTS))
+def test_profile_output_is_pinned(capsys, spec, fmt):
+    code, out, _ = run_cli(capsys, "profile", spec, "--horizon", "3000",
+                           "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_DIGESTS[(spec, fmt)]
+
+
+def test_profile_labels_ladder_stream(capsys):
+    code, out, _ = run_cli(capsys, "profile", "uladderper:2", "--horizon", "50",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["word"] == "uladderper:2"

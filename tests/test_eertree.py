@@ -14,8 +14,10 @@ from palfact import (
     product_of_two_palindromes,
     word_u_stream,
 )
+from palfact.greedy import lgpal
 from palfact.oracles import (
     brute_distinct_palindromes,
+    brute_lgpal,
     brute_lps_array,
     brute_palindromic_prefix_lengths,
     brute_palindromic_spans,
@@ -86,6 +88,30 @@ def test_longest_suffix_leq_against_spans():
             for cap in range(0, pos + 2):
                 want = max((x for x in lengths if x <= cap), default=0)
                 assert idx.longest_suffix_leq(pos, cap) == want
+
+
+def test_left_greedy_counts_against_scanning_reference():
+    rng = random.Random(2015)
+    for _ in range(3000):
+        alphabet = rng.randint(1, 4)
+        w = tuple(rng.randrange(alphabet) for _ in range(rng.randint(1, 40)))
+        want = [brute_lgpal(w[:m]) for m in range(1, len(w) + 1)]
+        assert PalindromeIndex(w).left_greedy_counts() == want
+
+
+def test_left_greedy_counts_against_single_word_exhaustive():
+    # the walk is online, so the prefixes of the length-12 words cover every
+    # binary word up to length 12
+    for bits in range(2**12):
+        w = tuple((bits >> i) & 1 for i in range(12))
+        want = [lgpal(w[:m])[0] for m in range(1, 13)]
+        assert PalindromeIndex(w).left_greedy_counts() == want
+
+
+def test_left_greedy_counts_examples():
+    assert PalindromeIndex(Word("abaab")).left_greedy_counts() == [1, 2, 1, 2, 3]
+    assert PalindromeIndex(Word("aaaa")).left_greedy_counts() == [1, 1, 1, 1]
+    assert PalindromeIndex(Word()).left_greedy_counts() == []
 
 
 def test_longest_palindromic_prefix_examples():

@@ -1,20 +1,26 @@
 import random
+import time
 
 from palfact import (
     Periodic,
     Word,
     build_gap_word,
+    build_profile,
     fibonacci_stream,
     gap_witness,
     greedy_profile,
     lgpal,
+    lgpal_profile,
     mirror,
     multibonacci,
+    pal_dp,
     pal_fast,
+    parse_spec,
     rgpal,
 )
 from palfact.analysis import _windowed_factor_max
 from palfact.oracles import brute_lgpal, brute_rgpal
+from palfact.streams import materialize
 from palfact.words import is_palindrome
 
 
@@ -168,3 +174,28 @@ def test_factor_bound_from_left_greedy_prefix_bound():
         bound = 2 * gp.max_lgpal[-1]
         w = stream.prefix(1000)
         assert _windowed_factor_max(w, 100) <= bound
+
+
+def test_build_profile_matches_single_word_operations():
+    rng = random.Random(77)
+    sources = [parse_spec(spec) for spec in ("fib", "periodic:aabab", "U")]
+    sources.append(Word(tuple(rng.randrange(4) for _ in range(500))))
+    for source in sources:
+        prof = build_profile(source, 500)
+        w = materialize(source, 500)
+        assert prof.pal == list(pal_dp(w)[1].values[1:])
+        assert prof.lgpal == [lgpal(w[:m])[0] for m in range(1, 501)]
+        assert prof.rgpal == [rgpal(w[:m])[0] for m in range(1, 501)]
+
+
+def test_left_greedy_profile_is_not_quadratic_on_periodic_words():
+    # every position of (ab)^n and (abbb)^n has Theta(n) palindromic suffixes
+    # in one series-link group.  A walk along plain suffix links takes minutes
+    # on (ab)^n unless it stops past the last cut, and on (abbb)^n even then.
+    for period, n in (("ab", 50000), ("abbb", 25000)):
+        w = Word(period) * n
+        t0 = time.perf_counter()
+        lg = lgpal_profile(w)
+        elapsed = time.perf_counter() - t0
+        assert lg == ([1] + [2] * (len(period) - 1)) * n
+        assert elapsed < 2.0, f"({period})^{n}: {elapsed:.2f}s"
