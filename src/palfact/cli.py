@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .analysis import bound_report, classify_bound2, enumerate_next
 from .errors import AmbiguousHorizon, CapExceeded, ParseError, SearchCapExceeded
 from .experiments import EXPERIMENTS, SUITES, run_suites
-from .greedy import lgpal, rgpal
-from .pallen import minimal_factorizations, pal_fast
+from .greedy import gap_witness, lgpal, rgpal
+from .pallen import minimal_factorizations
 from .profiles import build_profile
 from .streams import DSL_GRAMMAR, InfiniteWord, parse_spec
 from .words import Word, render, render_style
@@ -31,10 +32,53 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _dump(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` nested ``indent`` deep, byte for byte.
+
+    With ``indent`` the json module always runs its pure-Python encoder; this
+    writer renders the shapes the reports consist of (dicts with str keys,
+    lists of ints, lists of equally long int lists such as spans) with one
+    C-level join per list, and hands everything else to ``json.dumps``.
+    """
+    inner = indent + "  "
+    cls = type(obj)
+    if cls is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        body = (",\n" + inner).join(json.dumps(k) + ": " + _dump(v, inner)
+                                    for k, v in obj.items())
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if cls is list or cls is tuple:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            body = (",\n" + inner).join(map(int.__repr__, obj))
+        elif kinds <= {list, tuple} and _equal_int_rows(obj):
+            # every row is k ints: one %d template renders a whole row
+            deep = inner + "  "
+            row = (",\n" + deep).join(["%d"] * len(obj[0]))
+            item = f"[\n{deep}{row}\n{inner}]"
+            body = (",\n" + inner).join(map(item.__mod__, map(tuple, obj)))
+        else:
+            body = (",\n" + inner).join([_dump(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    # JSON text holds no raw newline, so re-indenting is a plain replace
+    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+
+
+def _equal_int_rows(rows) -> bool:
+    """True iff ``rows`` are non-empty, equally long and hold only ints
+    (``bool`` excluded)."""
+    lengths = set(map(len, rows))
+    return (len(lengths) == 1 and 0 not in lengths
+            and set(map(type, chain.from_iterable(rows))) == {int})
+
+
 def _json_doc(payload: dict) -> str:
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(payload)
-    return json.dumps(doc, indent=2) + "\n"
+    return _dump(doc, "") + "\n"
 
 
 def _need_finite(spec: str, cap: int | None) -> Word:
@@ -50,9 +94,7 @@ def _need_finite(spec: str, cap: int | None) -> Word:
 
 def cmd_len(args) -> int:
     w = _need_finite(args.word, args.cap)
-    p, _ = pal_fast(w)
-    lg, _ = lgpal(w)
-    rg, _ = rgpal(w)
+    p, lg, rg = gap_witness(w)
     if args.format == "json":
         _emit(_json_doc({"command": "len", "word": str(w), "pal": p,
                          "lgpal": lg, "rgpal": rg}), args.out)

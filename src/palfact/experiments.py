@@ -273,10 +273,9 @@ def verify_multibonacci(n_max: int = 10) -> ExperimentResult:
 
 
 def max_prefix_count(source, horizon: int | None = None) -> int:
-    """Maximum minimum-factor count over all prefixes (up to the horizon for
-    streams)."""
-    if not isinstance(source, InfiniteWord):
-        horizon = None  # a finite word is always taken whole
+    """Maximum minimum-factor count over all prefixes of length at most
+    ``horizon`` (required for streams; a finite word without one is taken
+    whole)."""
     w = materialize(source, horizon)
     dp = PalindromeIndex(w, track_min=True).min_factors
     return max(dp[1:], default=0)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .eertree import PalindromeIndex
-from .pallen import pal_fast
 from .streams import materialize
 from .words import Word, mirror
 
@@ -32,23 +31,30 @@ class GreedyDecomposition:
         return len(self.spans)
 
     def factors(self, w: Sequence[int]) -> list[Word]:
-        return [Word(tuple(w[s - 1 : e])) for s, e in self.spans]
+        word = w if isinstance(w, Word) else Word(w)
+        return [word[s - 1 : e] for s, e in self.spans]
 
     def to_json(self) -> dict:
         return {"side": self.side, "spans": [[s, e] for s, e in self.spans]}
 
 
-def rgpal(w: Sequence[int]) -> tuple[int, GreedyDecomposition]:
-    """Right-greedy palindromic factor count and its decomposition."""
-    lps = PalindromeIndex(w).lps
+def _right_greedy_spans(lps: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Right-greedy spans of the whole word whose longest-palindromic-suffix
+    array is ``lps``."""
     spans = []
-    i = len(w)
+    i = len(lps)
     while i > 0:
         s = lps[i - 1]
         spans.append((i - s + 1, i))
         i -= s
     spans.reverse()
-    return len(spans), GreedyDecomposition("right", tuple(spans))
+    return tuple(spans)
+
+
+def rgpal(w: Sequence[int]) -> tuple[int, GreedyDecomposition]:
+    """Right-greedy palindromic factor count and its decomposition."""
+    spans = _right_greedy_spans(PalindromeIndex(w).lps)
+    return len(spans), GreedyDecomposition("right", spans)
 
 
 def lgpal(w: Sequence[int]) -> tuple[int, GreedyDecomposition]:
@@ -63,11 +69,14 @@ def gap_witness(w: Sequence[int]) -> tuple[int, int, int]:
     """(minimum, left-greedy, right-greedy) factor counts of one word.
 
     The minimum never exceeds either greedy count; a violation would be an
-    internal error, so it raises instead of returning.
+    internal error, so it raises instead of returning.  Two index builds:
+    reversal keeps the minimum and turns the left-greedy count into the
+    right-greedy one, so one ``track_min`` index of the reversal gives both.
     """
-    p, _ = pal_fast(w)
-    lg, _ = lgpal(w)
-    rg, _ = rgpal(w)
+    rev = PalindromeIndex(w[::-1], track_min=True)
+    p, lg = rev.min_factors[-1], len(_right_greedy_spans(rev.lps))
+    del rev  # one index alive at a time: on rich words each is large
+    rg = len(_right_greedy_spans(PalindromeIndex(w).lps))
     if p > min(lg, rg):
         raise RuntimeError(
             f"greedy counts ({lg}, {rg}) undercut the minimum {p} on {Word(w)}"

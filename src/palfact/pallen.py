@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .eertree import PalindromeIndex
 from .streams import materialize
-from .words import Word, is_palindrome
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,26 @@ class Decomposition:
         return len(self.spans)
 
     def validate(self, w: Sequence[int]) -> None:
+        t = tuple(w)
         expect = 1
         for start, end in self.spans:
             if start != expect or end < start:
                 raise ValueError(f"spans do not tile the word: {self.spans}")
-            if not is_palindrome(tuple(w[start - 1 : end])):
+            f = t[start - 1 : end]
+            if f != f[::-1]:
                 raise ValueError(f"span {start}-{end} is not a palindrome")
             expect = end + 1
-        if expect != len(w) + 1:
+        if expect != len(t) + 1:
             raise ValueError("spans do not cover the whole word")
 
     def factors(self, w: Sequence[int]) -> list[Word]:
-        return [Word(tuple(w[s - 1 : e])) for s, e in self.spans]
+        word = w if isinstance(w, Word) else Word(w)
+        return [word[s - 1 : e] for s, e in self.spans]
 
-    def to_json(self) -> list[list[int]]:
-        return [[s, e] for s, e in self.spans]
+    def to_json(self) -> tuple[tuple[int, int], ...]:
+        """The spans themselves: JSON writes tuples as arrays, and copying
+        them into lists would cost a list per span."""
+        return self.spans
 
 
 def pal_dp(w: Sequence[int]) -> tuple[int, PalPrefixTable]:
@@ -152,37 +157,38 @@ def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactori
     if n == 0:
         return MinimalFactorizations(word, 0, (Decomposition(()),), False)
     values = table.values
-    by_start = _palindromic_spans_by_start(word)
+    by_start = _palindromic_spans_by_start(tuple(word))
     found: list[Decomposition] = []
     truncated = False
-
-    def walk(cut: int, acc: list[tuple[int, int]]) -> bool:
-        nonlocal truncated
-        if cut == n:
-            found.append(Decomposition(tuple(acc)))
-            if len(found) >= limit:
-                truncated = True
-                return False
+    # Depth-first over cuts with an explicit stack (a minimum decomposition
+    # can have thousands of factors): frame t holds cut c_t and the ends
+    # still to try from it; acc[t] is the span chosen out of frame t.
+    acc: list[tuple[int, int]] = []
+    stack = [(0, iter(by_start[1]))]
+    while stack:
+        cut, ends = stack[-1]
+        target = values[cut] + 1
+        for end in ends:
+            if values[end] == target:
+                break
         else:
-            target = values[cut] + 1
-            for end in by_start[cut + 1]:
-                if values[end] == target:
-                    acc.append((cut + 1, end))
-                    keep = walk(end, acc)
-                    acc.pop()
-                    if not keep:
-                        return False
-        return True
-
-    walk(0, [])
-    if truncated:
-        # A further decomposition may or may not exist; flag conservatively.
-        for d in found:
-            d.validate(word)
-        return MinimalFactorizations(word, total, tuple(found), True)
+            stack.pop()
+            if acc:
+                acc.pop()
+            continue
+        acc.append((cut + 1, end))
+        if end < n:
+            stack.append((end, iter(by_start[end + 1])))
+            continue
+        found.append(Decomposition(tuple(acc)))
+        acc.pop()
+        if len(found) >= limit:
+            # A further decomposition may or may not exist; flag conservatively.
+            truncated = True
+            break
     for d in found:
         d.validate(word)
-    return MinimalFactorizations(word, total, tuple(found), False)
+    return MinimalFactorizations(word, total, tuple(found), truncated)
 
 
 def first_attainment(stream, k_max: int, horizon: int) -> dict[int, int | None]:

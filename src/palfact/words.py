@@ -79,7 +79,8 @@ class Word(tuple):
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(tuple.__getitem__(self, item))
+            # the symbols were checked when this word was built
+            return tuple.__new__(Word, tuple.__getitem__(self, item))
         return tuple.__getitem__(self, item)
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
+from enum import IntEnum
 
 import pytest
 
-from palfact.cli import main
+from palfact.cli import _json_doc, main
 
 
 def run_cli(capsys, *argv):
@@ -186,3 +188,115 @@ def test_profile_labels_ladder_stream(capsys):
                            "--format", "json")
     assert code == 0
     assert json.loads(out)["word"] == "uladderper:2"
+
+
+def seeded_word(seed, letters, n):
+    rng = random.Random(seed)
+    return "lit:" + "".join(rng.choice("abcd"[:letters]) for _ in range(n))
+
+
+WORD3 = seeded_word(3, 3, 1000)
+WORD4 = seeded_word(4, 4, 1500)
+
+# SHA-256 of each command's stdout, recorded before the JSON writer and the
+# minimal-factorization search were rewritten; output must stay byte-identical.
+GOLDEN_DIGESTS = [
+    (("decompose", "lit:aabaab", "--format", "json"),
+     "ba48e26ca9068273eaf7a679a11ce0d3aef59d256f316f4814d94ba5b210de1a"),
+    (("decompose", "lit:aabaab", "--format", "text"),
+     "7ec1ea147040c0ca569d0de070aed24124765832a19638ea96bb49cc0f0487cd"),
+    (("decompose", WORD3, "--format", "json"),
+     "bd0bf34cb7590466471c47ec732a486bb57f8785ae743839dbcfb65102fec664"),
+    (("decompose", WORD3, "--format", "text"),
+     "906de882c750bdfd0d50fe43323ef2086c894cae27e33041a4a4636d545ccbea"),
+    (("decompose", WORD4, "--format", "json"),
+     "2f0a83cd3b7a55eee762d2e2fe64c9cb6be60865e322942d8dc1607ddd0211cd"),
+    (("decompose", WORD4, "--format", "text"),
+     "0e237829a0b08e6ecca9500a4c63533e54b5182879954763dc33e75b8bad7fd7"),
+    (("len", "multibonacci:9", "--format", "json"),
+     "88223045ae19073514af3fd890aa3017b30698f03c2c3317816b1a90bd76b04b"),
+    (("len", "uladder:5", "--format", "json"),
+     "2a3bd698e9fe92dcd44888224b6015456aa2a7f3967466da98084b0d851d13cc"),
+    (("bounds", "fib", "--horizon", "2000", "--window", "50", "--format", "json"),
+     "af19c33b1599853358ddd31fea2a42701063a889a3c23dfe2d23f8660a84e843"),
+    (("verify", "all", "--format", "json"),
+     "7d097255827a1bb1d3fea60ca98d8b87668a1730007a8b33a151d44ce65190a7"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_DIGESTS,
+    ids=[" ".join(a if len(a) < 20 else a[:12] + "..." for a in argv)
+         for argv, _ in GOLDEN_DIGESTS])
+def test_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class Side(IntEnum):
+    LEFT = 1
+    RIGHT = 2
+
+
+def random_json(rng, depth):
+    """A random document mixing the shapes the writer renders itself with
+    those it hands to ``json.dumps``."""
+    text = "ab[],:\"\\ \n\té中😀"
+    kind = rng.randrange(13 if depth else 6)
+    if kind == 0:
+        return rng.choice((0, -1, 7, 2**70, -(2**65)))
+    if kind == 1:
+        return rng.choice((True, False, None, Side.RIGHT))
+    if kind == 2:
+        return rng.choice((0.0, -1.5, 1e-7, 1e300, float("inf"), 0.1))
+    if kind == 3:
+        return "".join(rng.choice(text) for _ in range(rng.randrange(6)))
+    if kind == 4:
+        return rng.choice(([], {}, ()))
+    if kind == 5:
+        return [rng.randrange(-5, 50) for _ in range(rng.randrange(1, 6))]
+    if kind == 6:  # int lists with a bool or an IntEnum member among them
+        row = [rng.randrange(9) for _ in range(rng.randrange(1, 5))]
+        row.insert(rng.randrange(len(row) + 1), rng.choice((True, False, Side.LEFT)))
+        return row
+    if kind == 7:  # equally long int rows, as lists or tuples
+        k = rng.randrange(1, 4)
+        make = rng.choice((list, tuple))
+        return [make(rng.randrange(100) for _ in range(k))
+                for _ in range(rng.randrange(1, 5))]
+    if kind == 8:  # ragged or empty int rows
+        return [[rng.randrange(9) for _ in range(rng.randrange(3))]
+                for _ in range(rng.randrange(1, 5))]
+    if kind == 9:
+        return tuple(random_json(rng, depth - 1) for _ in range(rng.randrange(4)))
+    if kind == 10:
+        return [random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 11:  # non-str keys
+        keys = (3, -1, Side.LEFT, True, None, 2.5, "k")
+        return {rng.choice(keys): random_json(rng, depth - 1)
+                for _ in range(rng.randrange(4))}
+    return {"".join(rng.choice(text) for _ in range(rng.randrange(4))):
+            random_json(rng, depth - 1) for _ in range(rng.randrange(5))}
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(11)
+    for _ in range(2500):
+        doc = {f"f{i}": random_json(rng, rng.randrange(4))
+               for i in range(rng.randrange(5))}
+        expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
+        assert _json_doc(doc) == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_decompose_long_word_needs_no_recursion(capsys, fmt):
+    # 6000 random letters over a..d need 2653 palindromes; the search used to
+    # recurse once per factor and died with RecursionError
+    spec = seeded_word(5, 4, 6000)
+    code, out, _ = run_cli(capsys, "decompose", spec, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["minimal"]["pal"] == 2653
+    else:
+        assert "pal=2653 " in out

@@ -2,6 +2,7 @@ import pytest
 
 from palfact import (
     Periodic,
+    bound_report,
     SearchCapExceeded,
     Word,
     max_prefix_count,
@@ -48,6 +49,12 @@ def test_max_prefix_count_values():
     assert max_prefix_count(Word("a")) == 1
     assert max_prefix_count(u_ladder(3)[0]) == 3
     assert max_prefix_count(u_ladder_periodic(3), 1000) == 4
+
+
+def test_max_prefix_count_honours_horizon_on_finite_words():
+    assert max_prefix_count(Word("abcd"), 1) == 1
+    assert max_prefix_count(Word("abcd"), 1) == bound_report(Word("abcd"), 1, 1).prefix_max
+    assert max_prefix_count(Word("abcd")) == 4
 
 
 def test_ladder_experiment():

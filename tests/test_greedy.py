@@ -105,6 +105,14 @@ def test_minimum_below_greedy_exhaustive():
         assert p <= min(lg, rg)
 
 
+def test_gap_witness_matches_separate_counts():
+    rng = random.Random(7)
+    for _ in range(3000):
+        k = rng.randint(1, 4)
+        w = Word(tuple(rng.randrange(k) for _ in range(rng.randint(0, 60))))
+        assert gap_witness(w) == (pal_dp(w)[0], lgpal(w)[0], rgpal(w)[0]), w
+
+
 def test_gap_witness_examples():
     assert gap_witness(Word("abaa")) == (2, 2, 3)
     assert gap_witness(Word("aba")) == (1, 1, 1)

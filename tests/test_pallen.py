@@ -131,12 +131,58 @@ def test_minimal_factorizations_limit_flag():
         minimal_factorizations(w, limit=0)
 
 
+def recursive_minimal_factorizations(w, limit):
+    """Reference: the backtracking by recursion over cut positions, on the
+    definition-level table and a brute palindrome scan."""
+    n = len(w)
+    if n == 0:
+        return 0, False, [()]  # the empty word's one decomposition is never flagged
+    values = brute_pal_table(w)
+    found = []
+
+    def walk(cut, acc):
+        if cut == n:
+            found.append(tuple(acc))
+            return len(found) < limit
+        for end in range(cut + 1, n + 1):
+            f = w[cut:end]
+            if values[end] == values[cut] + 1 and f == f[::-1]:
+                acc.append((cut + 1, end))
+                keep = walk(end, acc)
+                acc.pop()
+                if not keep:
+                    return False
+        return True
+
+    complete = walk(0, [])
+    return values[n], not complete, found
+
+
+def test_minimal_factorizations_match_recursive_reference():
+    rng = random.Random(7)
+    for _ in range(3000):
+        k = rng.randint(1, 4)
+        w = tuple(rng.randrange(k) for _ in range(rng.randint(0, 60)))
+        for limit in (1, 3, 100):
+            facts = minimal_factorizations(w, limit)
+            got = (facts.count, facts.truncated, [d.spans for d in facts])
+            assert got == recursive_minimal_factorizations(w, limit), (w, limit)
+
+
 def test_decomposition_validation_rejects_bad_spans():
     w = Word("abab")
     with pytest.raises(ValueError):
         Decomposition(((1, 2), (3, 4))).validate(w)  # "ab" spans, not palindromes
     with pytest.raises(ValueError):
         Decomposition(((1, 1),)).validate(w)  # does not cover
+    with pytest.raises(ValueError):
+        Decomposition(((1, 1), (3, 3), (4, 4))).validate(w)  # gap
+    with pytest.raises(ValueError):
+        Decomposition(((1, 3), (4, 5))).validate(w)  # runs past the end
+    with pytest.raises(ValueError):
+        Decomposition(((1, 4),)).validate(Word("abca"))  # ends agree, middle not
+    Decomposition(((1, 3), (4, 4))).validate(w)
+    Decomposition(((1, 3), (4, 4))).validate(list(w))
 
 
 def test_first_attainment_fibonacci():

@@ -43,6 +43,13 @@ def test_word_concat_and_slice_stay_words():
     assert isinstance(w[1:], Word)
     assert isinstance(w * 3, Word)
     assert w[1:] == Word("bc")
+    # slices skip the symbol check but must not differ from a checked word
+    for word, cut in ((Word("1213"), slice(1, 3)), (Word("abaab"), slice(None, None, -1)),
+                      (Word([30, 2, 7]), slice(1, None)), (Word("ab"), slice(0, 0))):
+        part = word[cut]
+        built = Word(tuple(word)[cut])
+        assert type(part) is Word
+        assert part == built and str(part) == str(built) and repr(part) == repr(built)
 
 
 def test_mirror():
