@@ -565,7 +565,8 @@ def _minimal_full_period(w: Sequence[int]) -> int:
     return n - fail[-1] if n else 0
 
 
-def classify_bound2(stream, horizon: int, factor_window: int = 100) -> Classification:
+def classify_bound2(stream, horizon: int, factor_window: int = 100,
+                    report: Optional[BoundReport] = None) -> Classification:
     """Match the stream's certified period block against the closed families
     of words whose prefixes (or factors) need at most two palindromic
     factors.
@@ -574,13 +575,15 @@ def classify_bound2(stream, horizon: int, factor_window: int = 100) -> Classific
     as certified; two repetitions raise ``AmbiguousHorizon``.  A family match
     is cross-validated against the bound report: a matched family with a
     prefix maximum above 2, or an isolated-letter form with a windowed factor
-    maximum above 2, raises immediately.
+    maximum above 2, raises immediately.  A caller that already holds the
+    stream's ``bound_report`` at this horizon passes it as ``report``.
     """
     w = materialize(stream, horizon)
     n = len(w)
     if n < 3:
         raise AmbiguousHorizon("horizon too short to classify anything")
-    report = bound_report(w, n, min(factor_window, n))
+    if report is None:
+        report = bound_report(stream, n, min(factor_window, n))
     p = _minimal_full_period(w)
     if 3 * p > n:
         if 2 * p <= n:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification suite found a counterexample,
-2 usage, parse or resource errors.  Output is byte-identical for identical
-arguments and seed.
+2 usage, parse or resource errors (a search nesting past the recursion
+limit included).  Output is byte-identical for identical arguments and seed.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def cmd_bounds(args) -> int:
     source = parse_spec(args.word, args.cap)
     report = bound_report(source, args.horizon, args.window)
     try:
-        cls = classify_bound2(source, args.horizon, args.window)
+        cls = classify_bound2(source, args.horizon, args.window, report=report)
         classification = cls.to_json()
     except AmbiguousHorizon as exc:
         classification = {"error": str(exc)}
@@ -221,7 +221,7 @@ def _suite_names(tokens: list[str], universe) -> list[str]:
 
 def cmd_verify(args) -> int:
     names = _suite_names(args.suites, SUITES)
-    results = run_suites(names, seed=args.seed, jobs=args.jobs)
+    results = run_suites(names, seed=args.seed)
     failed = False
     lines = []
     for res in results:
@@ -250,7 +250,7 @@ def cmd_experiments(args) -> int:
     if unknown:
         raise ParseError(f"unknown experiments: {', '.join(unknown)}",
                          token=unknown[0])
-    results = run_suites(names, seed=args.seed, jobs=args.jobs)
+    results = run_suites(names, seed=args.seed)
     doc = _json_doc({"command": "experiments",
                      "results": [r.to_json(timings=args.timings)
                                  for r in results]})
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suites", nargs="*", default=[],
                     help="suite names, or 'all'")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-identical "
                          "reruns)")
@@ -345,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                                             f"({', '.join(EXPERIMENTS)})")
     sp.add_argument("suites", nargs="*", default=[])
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-identical "
                          "reruns)")
@@ -365,6 +363,11 @@ def main(argv=None) -> int:
         token = getattr(exc, "token", None)
         suffix = f" (token: {token})" if token else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        hint = "; try a smaller --max-len" if args.command == "next" else ""
+        print(f"error: the search nests deeper than the interpreter's "
+              f"recursion limit{hint}", file=sys.stderr)
         return 2
 
 

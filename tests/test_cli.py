@@ -5,6 +5,9 @@ from enum import IntEnum
 
 import pytest
 
+import palfact.analysis
+import palfact.cli
+from palfact import Periodic, Word, classify_bound2
 from palfact.cli import _json_doc, main
 
 
@@ -93,6 +96,40 @@ def test_next_command(capsys):
     assert "aba" in out and "abba" in out
 
 
+def test_next_too_deep_is_a_usage_error(capsys):
+    # the search recurses once per symbol and passes the interpreter's limit
+    code, out, err = run_cli(capsys, "next", "lit:a", "--max-len", "800")
+    assert code == 2
+    assert out == ""
+    assert "--max-len" in err and "Traceback" not in err
+
+
+def test_bounds_builds_one_report_labelled_with_the_source(capsys, monkeypatch):
+    calls = []
+    original = palfact.analysis.bound_report
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(palfact.analysis, "bound_report", counting)
+    monkeypatch.setattr(palfact.cli, "bound_report", counting)
+    code, out, _ = run_cli(capsys, "bounds", "periodic:ab", "--horizon", "300",
+                           "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+    doc = json.loads(out)
+    assert doc["classification"]["family"] == "(a^i b^j)^w"
+    assert doc["classification"]["report"] == doc["report"]
+    assert doc["report"]["word"] == "periodic:ab"
+
+
+def test_classification_report_names_the_stream():
+    cls = classify_bound2(Periodic(Word("ab")), 300)
+    assert cls.report.word_spec == "periodic:ab"
+    assert cls.to_json()["report"]["word"] == "periodic:ab"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "occdiff")
     assert code == 0
@@ -126,6 +163,14 @@ def test_experiments_text_with_json_out(tmp_path, capsys):
     assert "occdiff: ok" in out
     doc = json.loads(target.read_text())
     assert doc["results"][0]["name"] == "occdiff"
+
+
+@pytest.mark.parametrize("command", ["verify", "experiments"])
+def test_jobs_option_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "all", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_experiments_rejects_unknown(capsys):
@@ -221,6 +266,12 @@ GOLDEN_DIGESTS = [
      "af19c33b1599853358ddd31fea2a42701063a889a3c23dfe2d23f8660a84e843"),
     (("verify", "all", "--format", "json"),
      "7d097255827a1bb1d3fea60ca98d8b87668a1730007a8b33a151d44ce65190a7"),
+    # recorded before the minimum-count oracle and the split test changed;
+    # the random words of the oracles, lps and greedy suites follow the seed
+    (("verify", "all", "--format", "json", "--seed", "3"),
+     "2553c392cee9d73b1ed38145f7ff3938c69e837388fe4d3735e6dd2fb3c22ff8"),
+    (("verify", "all", "--format", "json", "--seed", "7"),
+     "edcb85521586c21f5e0c558fb08ed55bf4c064b6f010b70697ff3ffdc1d2b0ae"),
 ]
 
 

@@ -17,6 +17,7 @@ from palfact import (
     verify_u_suffixes,
     prefix_floor_witness,
 )
+from palfact.eertree import PalindromeIndex
 from palfact.experiments import SUITES, prefix_floor_experiment, ladder_experiment
 
 
@@ -120,13 +121,29 @@ def test_suite_registry_rejects_unknown():
         run_suites(["nonsense"])
 
 
-def test_suites_parallel_equals_sequential():
-    names = ["occdiff", "multibonacci", "ladder"]
-    seq = run_suites(names, seed=0, jobs=1)
-    par = run_suites(names, seed=0, jobs=3)
-    assert [r.name for r in seq] == [r.name for r in par]
-    for a, b in zip(seq, par):
-        assert [c.to_json() for c in a.claims] == [c.to_json() for c in b.claims]
+def test_run_suites_times_every_suite():
+    results = run_suites(["occdiff", "multibonacci", "ladder"], seed=0)
+    assert [r.name for r in results] == ["ladder", "multibonacci", "occdiff"]
+    assert all(r.runtime > 0 for r in results)
+    assert all("runtime_seconds" in r.to_json() for r in results)
+    assert all("runtime_seconds" not in r.to_json(timings=False) for r in results)
+
+
+def test_greedy_suite_catches_an_off_by_one_left_greedy_walk(monkeypatch):
+    # the duality claim must compare two independent computations, so a
+    # fault in the forward walk alone has to show up as a failed claim
+    original = PalindromeIndex.left_greedy_counts
+
+    def off_by_one(self):
+        counts = original(self)
+        return counts[:-1] + [counts[-1] + 1] if counts else counts
+
+    assert SUITES["greedy"]().ok
+    monkeypatch.setattr(PalindromeIndex, "left_greedy_counts", off_by_one)
+    result = SUITES["greedy"]()
+    assert not result.ok
+    failed = {c.description for c in result.failures()}
+    assert "left-greedy equals right-greedy of the reversal" in failed
 
 
 def test_all_suites_registered():
