@@ -11,9 +11,32 @@ from typing import Optional, Sequence
 from .eertree import PalindromeIndex, SharedEertree
 from .engine import palindromic_prefixes
 from .errors import AmbiguousHorizon
-from .pallen import _palindromic_spans_by_start, pal_dp
+from .pallen import pal_dp
 from .streams import materialize, spec_of
 from .words import Word
+
+
+def _palindromic_spans_by_start(w: Sequence[int]) -> list[list[int]]:
+    """ends[start] = ascending end positions of palindromes starting there
+    (1-based), found by center expansion."""
+    n = len(w)
+    by_start: list[list[int]] = [[] for _ in range(n + 2)]
+    for center in range(n):
+        # odd lengths
+        i, j = center, center
+        while i >= 0 and j < n and w[i] == w[j]:
+            by_start[i + 1].append(j + 1)
+            i -= 1
+            j += 1
+        # even lengths
+        i, j = center, center + 1
+        while i >= 0 and j < n and w[i] == w[j]:
+            by_start[i + 1].append(j + 1)
+            i -= 1
+            j += 1
+    for ends in by_start:
+        ends.sort()
+    return by_start
 
 
 def reachable_sets(stream, k_max: int, horizon: int) -> list[set[int]]:
@@ -103,6 +126,8 @@ class BoundReport:
 
 def bound_report(stream, horizon: int, factor_window: int = 100) -> BoundReport:
     """Prefix and windowed-factor maxima of the minimum factor count."""
+    if factor_window < 0:
+        raise ValueError("factor_window must be >= 0")
     if factor_window > horizon:
         raise ValueError("factor_window must not exceed the horizon")
     w = materialize(stream, horizon)
@@ -290,7 +315,10 @@ def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
         if not skip_spine:
             visit(c_run)
 
-    explore()
+    if base_len < max_len:
+        explore()
+    else:  # the base itself sits at the cap, unexplored
+        opens.append(base)
     members.sort(key=lambda w: (len(w), w))
     opens.sort(key=lambda w: (len(w), w))
     return NextSet(base, max_len, tuple(members), tuple(opens))

@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import is_
 
 from .analysis import bound_report, classify_bound2, enumerate_next
 from .errors import AmbiguousHorizon, CapExceeded, ParseError, SearchCapExceeded
@@ -32,39 +33,82 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _dump(obj, indent: str) -> str:
-    """``json.dumps(obj, indent=2)`` nested ``indent`` deep, byte for byte.
+def _dump(obj, indent: str, memo: dict, out: list) -> None:
+    """Append ``json.dumps(obj, indent=2)``, nested ``indent`` deep, to
+    ``out``, byte for byte.
 
     With ``indent`` the json module always runs its pure-Python encoder; this
     writer renders the shapes the reports consist of (dicts with str keys,
-    lists of ints, lists of equally long int lists such as spans) with one
-    C-level join per list, and hands everything else to ``json.dumps``.
+    lists of ints, lists of int lists such as spans) with C-level joins, and
+    hands everything else to ``json.dumps``.  It appends pieces instead of
+    nesting strings, so a large document is copied once, by the final join.
+    ``memo`` lives for one document; see ``_rows``.
     """
     inner = indent + "  "
     cls = type(obj)
     if cls is dict and all(type(k) is str for k in obj):
         if not obj:
-            return "{}"
-        body = (",\n" + inner).join(json.dumps(k) + ": " + _dump(v, inner)
-                                    for k, v in obj.items())
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if cls is list or cls is tuple:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for k, v in obj.items():
+            out.append(sep + json.dumps(k) + ": ")
+            _dump(v, inner, memo, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif cls is list or cls is tuple:
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         kinds = set(map(type, obj))
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
         if kinds == {int}:
-            body = (",\n" + inner).join(map(int.__repr__, obj))
-        elif kinds <= {list, tuple} and _equal_int_rows(obj):
-            # every row is k ints: one %d template renders a whole row
-            deep = inner + "  "
-            row = (",\n" + deep).join(["%d"] * len(obj[0]))
-            item = f"[\n{deep}{row}\n{inner}]"
-            body = (",\n" + inner).join(map(item.__mod__, map(tuple, obj)))
+            out.append(sep.join(map(int.__repr__, obj)))
+        elif (kinds <= {list, tuple} and obj[0] and type(obj[0][0]) is int
+              and (texts := _rows(obj, inner, memo)) is not None):
+            # rows of ints, such as the spans of one decomposition
+            out.append(sep.join(texts))
         else:
-            body = (",\n" + inner).join([_dump(v, inner) for v in obj])
-        return f"[\n{inner}{body}\n{indent}]"
-    # JSON text holds no raw newline, so re-indenting is a plain replace
-    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+            for i, v in enumerate(obj):
+                if i:
+                    out.append(sep)
+                _dump(v, inner, memo, out)
+        out.append("\n" + indent + "]")
+    else:
+        # JSON text holds no raw newline, so re-indenting is a plain replace
+        out.append(json.dumps(obj, indent=2).replace("\n", "\n" + indent))
+
+
+def _rows(rows, indent: str, memo: dict) -> list[str] | None:
+    """The text of each row in ``rows``, ``indent`` deep, or None unless
+    the rows not rendered before are equally long non-empty int rows.
+
+    ``memo[indent]`` maps the id of each row already rendered at that indent
+    in this document to its text, and is looked up in C: a decomposition
+    report repeats each span object many times.  Identity, unlike equality,
+    never lets ``(1, True)`` stand in for ``(1, 1)``, and every row is an
+    object of the document being written, so no id is reused while the memo
+    lives.
+    """
+    seen = memo.setdefault(indent, {})
+    texts = list(map(seen.get, map(id, rows)))
+    missing = list(compress(range(len(rows)), map(is_, texts, repeat(None))))
+    if not missing:
+        return texts
+    new = list(map(rows.__getitem__, missing))
+    if not _equal_int_rows(new):
+        return None
+    # every new row is k ints: one %d template renders a whole row
+    deep = indent + "  "
+    row = (",\n" + deep).join(["%d"] * len(new[0]))
+    rendered = list(map(f"[\n{deep}{row}\n{indent}]".__mod__, map(tuple, new)))
+    seen.update(zip(map(id, new), rendered))
+    if len(new) == len(rows):
+        return rendered
+    for i, text in zip(missing, rendered):
+        texts[i] = text
+    return texts
 
 
 def _equal_int_rows(rows) -> bool:
@@ -78,7 +122,30 @@ def _equal_int_rows(rows) -> bool:
 def _json_doc(payload: dict) -> str:
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(payload)
-    return _dump(doc, "") + "\n"
+    out: list[str] = []
+    _dump(doc, "", {}, out)
+    out.append("\n")
+    return "".join(out)
+
+
+class _SpanText(dict):
+    """Text of each span (1-based, inclusive) of a word in the notation of
+    the whole word, rendered once per distinct span."""
+
+    def __init__(self, w: Word):
+        super().__init__()
+        style = render_style(w)
+        # the symbols' texts: ints are joined with '.', letters and digits abut
+        self.symbols = list(map(str, w)) if style == "ints" else render(w, style)
+        self.sep = "." if style == "ints" else ""
+
+    def __missing__(self, span) -> str:
+        start, end = span
+        text = self[span] = self.sep.join(self.symbols[start - 1 : end])
+        return text
+
+    def line(self, spans) -> str:
+        return " . ".join(map(self.__getitem__, spans))
 
 
 def _need_finite(spec: str, cap: int | None) -> Word:
@@ -122,16 +189,13 @@ def cmd_decompose(args) -> int:
             args.out,
         )
     else:
-        style = render_style(w)
+        text = _SpanText(w)
         lines = [f"word: {w}", f"pal={facts.count} lgpal={lg} rgpal={rg}",
                  f"minimal decompositions ({len(facts)}"
                  f"{', truncated' if facts.truncated else ''}):"]
-        for dec in facts:
-            lines.append("  " + " . ".join(render(f, style) for f in dec.factors(w)))
-        lines.append("left greedy:  "
-                     + " . ".join(render(f, style) for f in ldec.factors(w)))
-        lines.append("right greedy: "
-                     + " . ".join(render(f, style) for f in rdec.factors(w)))
+        lines.extend("  " + text.line(dec.spans) for dec in facts)
+        lines.append("left greedy:  " + text.line(ldec.spans))
+        lines.append("right greedy: " + text.line(rdec.spans))
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -145,11 +209,12 @@ def cmd_profile(args) -> int:
         _emit(profile.to_csv(), args.out)
     else:
         attained = {k: v for k, v in profile.first_attainment.items() if v is not None}
+        doc = profile.to_json()  # its maxima are 0 for an empty profile
         lines = [
             f"word: {profile.word_spec}",
             f"horizon: {profile.horizon}",
-            f"max pal={profile.max_pal[-1]} lgpal={profile.max_lgpal[-1]} "
-            f"rgpal={profile.max_rgpal[-1]}",
+            f"max pal={doc['max_pal']} lgpal={doc['max_lgpal']} "
+            f"rgpal={doc['max_rgpal']}",
             "first attainment: "
             + " ".join(f"m({k})={v}" for k, v in sorted(attained.items())),
         ]

@@ -9,6 +9,7 @@ paths on purpose so each can check the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter, le, sub
 from typing import Sequence
 
 from .eertree import PalindromeIndex
@@ -43,18 +44,34 @@ class Decomposition:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def validate(self, w: Sequence[int]) -> None:
-        t = tuple(w)
-        expect = 1
-        for start, end in self.spans:
-            if start != expect or end < start:
-                raise ValueError(f"spans do not tile the word: {self.spans}")
-            f = t[start - 1 : end]
-            if f != f[::-1]:
-                raise ValueError(f"span {start}-{end} is not a palindrome")
-            expect = end + 1
-        if expect != len(t) + 1:
+    def validate(self, w: Sequence[int], proved: set | None = None) -> None:
+        """Raise ValueError unless the spans tile ``w`` with palindromes.
+
+        ``proved`` holds spans already shown to be palindromes of this same
+        ``w``; the spans this call proves join it, so checking many
+        decompositions of one word tests each distinct span once.
+        """
+        t = w if type(w) is tuple else tuple(w)
+        spans = self.spans
+        starts = list(map(itemgetter(0), spans))
+        ends = list(map(itemgetter(1), spans))
+        # the first span starts at 1, every other one right after the one
+        # before it ends, and none ends before it starts
+        if spans and (starts[0] != 1
+                      or list(map(sub, starts[1:], ends)) != [1] * (len(ends) - 1)
+                      or not all(map(le, starts, ends))):
+            raise ValueError(f"spans do not tile the word: {self.spans}")
+        if (ends[-1] if ends else 0) != len(t):
             raise ValueError("spans do not cover the whole word")
+        if proved is None:
+            proved = set()
+        if not proved.issuperset(spans):
+            fresh = set(spans).difference(proved)
+            for start, end in fresh:
+                f = t[start - 1 : end]
+                if f != f[::-1]:
+                    raise ValueError(f"span {start}-{end} is not a palindrome")
+            proved.update(fresh)
 
     def factors(self, w: Sequence[int]) -> list[Word]:
         word = w if isinstance(w, Word) else Word(w)
@@ -119,35 +136,17 @@ class MinimalFactorizations:
         }
 
 
-def _palindromic_spans_by_start(w: Sequence[int]) -> list[list[int]]:
-    """ends[start] = ascending end positions of palindromes starting there
-    (1-based), found by center expansion."""
-    n = len(w)
-    by_start: list[list[int]] = [[] for _ in range(n + 2)]
-    for center in range(n):
-        # odd lengths
-        i, j = center, center
-        while i >= 0 and j < n and w[i] == w[j]:
-            by_start[i + 1].append(j + 1)
-            i -= 1
-            j += 1
-        # even lengths
-        i, j = center, center + 1
-        while i >= 0 and j < n and w[i] == w[j]:
-            by_start[i + 1].append(j + 1)
-            i -= 1
-            j += 1
-    for ends in by_start:
-        ends.sort()
-    return by_start
-
-
 def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactorizations:
     """Enumerate every decomposition of ``w`` into exactly the minimum
     number of palindromes, up to ``limit`` many.
 
     In a minimum decomposition with cut positions 0 = c0 < ... < ck = n,
-    every prefix value obeys values[c_t] = t, which drives the backtracking.
+    every prefix value obeys values[c_t] = t and the suffix after c_t needs
+    exactly k - t palindromes.  The search follows only cuts that meet both,
+    so every branch it enters ends in a decomposition.  Beyond two index
+    builds, its cost is the size of what it reports plus, for each cut it
+    reaches, the palindromes starting there.  Each distinct span is one
+    tuple object and is checked to be a palindrome once.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -156,29 +155,49 @@ def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactori
     total, table = pal_fast(word)
     if n == 0:
         return MinimalFactorizations(word, 0, (Decomposition(()),), False)
+    symbols = tuple(word)
     values = table.values
-    by_start = _palindromic_spans_by_start(tuple(word))
+    # rest[c] = minimum count of w[c:], from the reversal's prefix table
+    rev = PalindromeIndex(symbols[::-1], track_min=True)
+    rest = rev.min_factors[::-1]
+    # level[c] = values[c] when cut c lies on some minimum decomposition, else -1
+    level = [v if v + r == total else -1 for v, r in zip(values, rest)]
+    # after[c]: ascending ends e of the palindromes w[c:e] that a minimum
+    # decomposition can go on with, listed when the search first reaches c
+    after: list[list[int] | None] = [None] * n
+
+    def next_cuts(cut: int):
+        ends = after[cut]
+        if ends is None:
+            # the palindromic prefixes of w[cut:] are the palindromic
+            # suffixes of the reversal's prefix of length n - cut
+            target = values[cut] + 1
+            ends = [e for e in map(cut.__add__, rev.suffix_palindrome_lengths(n - cut))
+                    if level[e] == target]
+            ends.reverse()
+            after[cut] = ends
+        return iter(ends)
+
     found: list[Decomposition] = []
     truncated = False
+    spans: dict[tuple[int, int], tuple[int, int]] = {}  # one object per span
     # Depth-first over cuts with an explicit stack (a minimum decomposition
     # can have thousands of factors): frame t holds cut c_t and the ends
     # still to try from it; acc[t] is the span chosen out of frame t.
     acc: list[tuple[int, int]] = []
-    stack = [(0, iter(by_start[1]))]
+    stack = [(0, next_cuts(0))]
     while stack:
         cut, ends = stack[-1]
-        target = values[cut] + 1
-        for end in ends:
-            if values[end] == target:
-                break
-        else:
+        end = next(ends, None)
+        if end is None:
             stack.pop()
             if acc:
                 acc.pop()
             continue
-        acc.append((cut + 1, end))
+        span = (cut + 1, end)
+        acc.append(spans.setdefault(span, span))
         if end < n:
-            stack.append((end, iter(by_start[end + 1])))
+            stack.append((end, next_cuts(end)))
             continue
         found.append(Decomposition(tuple(acc)))
         acc.pop()
@@ -186,8 +205,9 @@ def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactori
             # A further decomposition may or may not exist; flag conservatively.
             truncated = True
             break
+    proved: set[tuple[int, int]] = set()
     for d in found:
-        d.validate(word)
+        d.validate(symbols, proved)
     return MinimalFactorizations(word, total, tuple(found), truncated)
 
 

@@ -361,6 +361,8 @@ def materialize(source, horizon: int | None = None) -> Word:
         return source.prefix(horizon)
     w = source if isinstance(source, Word) else Word(source)
     if horizon is not None:
+        if horizon < 0:  # a negative slice bound would drop letters from the end
+            raise ValueError("prefix length must be >= 0")
         return w[:horizon]
     return w
 

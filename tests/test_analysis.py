@@ -130,6 +130,16 @@ def test_enumerate_next_ab():
     ]
 
 
+def test_enumerate_next_at_the_base_length_leaves_the_base_open():
+    # with max_len equal to the base length the search used to extend past
+    # the cap until the interpreter's recursion limit
+    for base in ("a", "ab", "aba", "aab"):
+        ns = enumerate_next(w(base), len(base))
+        assert ns.palindromes == ()
+        assert ns.open_branches == (w(base),)
+    assert enumerate_next(w("aababb"), 6).open_branches == ()  # needs three
+
+
 def test_enumerate_next_empty_items_close():
     for base in ("aababaa", "aabbaaa", "aabaabaaa"):
         ns = enumerate_next(w(base), 64)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from enum import IntEnum
 
 import pytest
@@ -272,6 +273,12 @@ GOLDEN_DIGESTS = [
      "2553c392cee9d73b1ed38145f7ff3938c69e837388fe4d3735e6dd2fb3c22ff8"),
     (("verify", "all", "--format", "json", "--seed", "7"),
      "edcb85521586c21f5e0c558fb08ed55bf4c064b6f010b70697ff3ffdc1d2b0ae"),
+    # recorded before text rendering went from factor words to span texts;
+    # digits and ints notation
+    (("decompose", "multibonacci:5", "--format", "text"),
+     "4e0153808cfebdcf79231412acf5f01bfa1ffc4cd91b7c066aa6ded7eea147db"),
+    (("decompose", "uladder:6", "--format", "text"),
+     "69a877e5e5a96e861113b4c86cadec702858b9e41ec93693c9b068bd59705598"),
 ]
 
 
@@ -331,6 +338,53 @@ def random_json(rng, depth):
             random_json(rng, depth - 1) for _ in range(rng.randrange(5))}
 
 
+def reused_rows_doc(rng):
+    """A document whose lists share row objects, hold equal copies of them,
+    and mix rows that are equal but differ in type."""
+    pool = [(1, 1), (1, True), [1, 1], (Side.LEFT, 2), (1, 2), [1, 2], (2, 3, 4),
+            (False,), (0,), [], (), (1.0, 1), (None, 1), [[1, 2]], ((1, 2),)]
+    pool += [tuple(rng.randrange(9) for _ in range(rng.randrange(1, 4)))
+             for _ in range(4)]
+
+    def pick():
+        row = rng.choice(pool)
+        copy = rng.randrange(3)
+        if copy == 1:  # an equal row, same container type, other object
+            return type(row)(list(row))
+        if copy == 2:  # the other container type
+            return list(row) if type(row) is tuple else tuple(row)
+        return row
+
+    lists = [[pick() for _ in range(rng.randrange(1, 8))] for _ in range(4)]
+    doc = {"a": lists[0], "b": {"c": lists[1], "d": [lists[2], lists[0]]},
+           "e": tuple(lists[3]), "f": [{"g": lists[1]}, lists[2]]}
+    return {k: doc[k] for k in rng.sample(sorted(doc), rng.randint(1, len(doc)))}
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [(1, 1), (1, True)]},
+    {"a": [(1, True), (1, 1)]},
+    {"a": [(1, 2), (Side.LEFT, 2)], "b": [(Side.LEFT, 2), (1, 2)]},
+    {"a": [[1, 2], (1, 2)], "b": [(1, 2), [1, 2]]},
+])
+def test_json_writer_tells_equal_rows_of_other_types_apart(doc):
+    assert _json_doc(doc) == json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
+
+
+def test_json_writer_renders_a_shared_row_at_every_depth():
+    row = (1, 2)
+    doc = {"a": [row, row], "b": [[row], {"c": [row, (1, True), row]}], "d": [row]}
+    assert _json_doc(doc) == json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
+
+
+def test_json_writer_matches_json_dumps_with_reused_rows():
+    rng = random.Random(12)
+    for _ in range(1500):
+        doc = reused_rows_doc(rng)
+        expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
+        assert _json_doc(doc) == expected
+
+
 def test_json_writer_matches_json_dumps():
     rng = random.Random(11)
     for _ in range(2500):
@@ -351,3 +405,51 @@ def test_decompose_long_word_needs_no_recursion(capsys, fmt):
         assert json.loads(out)["minimal"]["pal"] == 2653
     else:
         assert "pal=2653 " in out
+
+
+def test_decompose_palindrome_with_one_factor_is_fast(capsys):
+    # multibonacci:13 is a palindrome of 8191 letters; a search that walked
+    # every cut with a matching prefix count took about 18 s
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "decompose", "multibonacci:13", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["minimal"]["pal"] == 1
+    assert doc["minimal"]["decompositions"] == [[[1, 8191]]]
+
+
+# SHA-256 of the json and csv output of two empty profiles, recorded before
+# the text format stopped crashing on them
+EMPTY_PROFILES = {
+    ("fib", "0", "json"): "bbfa2a8f0e7af2eb8b24ae6df34fb46a2b70e016681cfddb00934e3ec6a2bb92",
+    ("fib", "0", "csv"): "b889803d7421f384f9cf47908d6f760dd6491f838d73bed7daf8de236c8fa128",
+    ("lit:", "3", "json"): "d1b66c81a16c1f5984dd520172af697fce9dafcc5dd5757253be894c3a4e7f33",
+    ("lit:", "3", "csv"): "b889803d7421f384f9cf47908d6f760dd6491f838d73bed7daf8de236c8fa128",
+    ("fib", "0", "text"): None,
+    ("lit:", "3", "text"): None,
+}
+
+
+@pytest.mark.parametrize("spec,horizon,fmt", sorted(EMPTY_PROFILES))
+def test_empty_profile(capsys, spec, horizon, fmt):
+    code, out, err = run_cli(capsys, "profile", spec, "--horizon", horizon,
+                             "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "text":
+        assert out == (f"word: {spec}\nhorizon: 0\nmax pal=0 lgpal=0 rgpal=0\n"
+                       "first attainment: \n")
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == EMPTY_PROFILES[(spec, horizon, fmt)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("profile", "lit:abaabab", "--horizon", "-2"),
+    ("bounds", "lit:abaabab", "--horizon", "-2", "--window", "0"),
+    ("bounds", "lit:abaabab", "--horizon", "5", "--window", "-3"),
+])
+def test_negative_horizon_or_window_is_a_usage_error(capsys, argv):
+    # a negative horizon used to slice letters off the end of a finite word
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,9 @@ from palfact import (
     pal_dp,
     pal_fast,
 )
+import palfact.pallen
 from palfact.oracles import brute_pal_table
+from palfact.streams import multibonacci, u_ladder
 
 
 def all_binary_words(max_len):
@@ -169,6 +172,88 @@ def test_minimal_factorizations_match_recursive_reference():
             assert got == recursive_minimal_factorizations(w, limit), (w, limit)
 
 
+def rich_words():
+    """Palindromic and rich words, whose searches used to walk many dead cuts."""
+    words = [tuple(multibonacci(k)) for k in range(1, 8)]
+    for k in range(1, 5):
+        u, v = u_ladder(k)
+        words += [tuple(u), tuple(u + v), tuple(u + v + u)]
+    words += [(0,) * n for n in (1, 2, 5, 17, 40)]
+    words += [(0, 1) * n for n in (1, 4, 15)]
+    words += [(0,) * k + (1,) + (0,) * k + (1,) + (0,) * k for k in (1, 3, 8)]
+    words.append(tuple(fibonacci_stream().prefix(100)))
+    return words
+
+
+def test_pruned_search_matches_recursive_reference_on_rich_words():
+    for w in rich_words():
+        for limit in (1, 3, 100):
+            facts = minimal_factorizations(w, limit)
+            got = (facts.count, facts.truncated, [d.spans for d in facts])
+            assert got == recursive_minimal_factorizations(w, limit), (w, limit)
+
+
+def test_unary_word_lists_no_quadratic_span_table():
+    # a^n has n(n+1)/2 palindromic factors; listing them all ahead of the
+    # search took 325 MB and 2.6 s at n = 4000, for one decomposition
+    tracemalloc.start()
+    try:
+        facts = minimal_factorizations((0,) * 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [d.spans for d in facts] == [((1, 4000),)]
+    assert peak < 10 * 2**20
+
+
+# Five blocks over disjoint letters, each split two ways (aa.baab or
+# aabaa.b): 32 minimum decompositions of 10 palindromes that share most spans.
+BLOCKS = Word("aabaab" "ccdccd" "eefeef" "gghggh" "iijiij")
+
+# Corruptions of the last of them, ((1, 5), (6, 6), (7, 11), (12, 12), ...,
+# (30, 30)); each breaks one rule and keeps the others where it can.
+CORRUPTIONS = {
+    "not a palindrome": lambda d: d[:1] + ((6, 7), (8, 11)) + d[3:],  # "bc", "cdcc"
+    "gap": lambda d: d[:2] + ((8, 11),) + d[3:],
+    "overlap": lambda d: d[:2] + ((6, 11),) + d[3:],
+    "end before start": lambda d: d[:2] + ((7, 6),) + d[2:],
+    "overrun": lambda d: d[:-1] + ((30, 31),),
+    "short": lambda d: d[:-1],
+}
+
+
+def test_equal_spans_are_one_object_and_proved_once():
+    # each block's spans recur after every choice made in the blocks before
+    w = BLOCKS
+    facts = minimal_factorizations(w)
+    assert len(facts) == 32
+    spans = [span for d in facts for span in d.spans]
+    assert len({id(span) for span in spans}) == len(set(spans))
+    proved = set()
+    for d in facts:
+        d.validate(tuple(w), proved)
+    assert proved == set(spans)
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_search_rejects_one_corrupted_span_among_many(monkeypatch, kind):
+    clean = minimal_factorizations(BLOCKS, limit=50)
+    assert (len(clean), clean.count, clean.truncated) == (32, 10, False)
+    last = clean.decompositions[-1].spans
+    assert last[:3] == ((1, 5), (6, 6), (7, 11)) and last[-1] == (30, 30)
+    made = []
+
+    def corrupting(spans):
+        made.append(spans)
+        if len(made) == len(clean):
+            spans = CORRUPTIONS[kind](spans)
+        return Decomposition(spans)
+
+    monkeypatch.setattr(palfact.pallen, "Decomposition", corrupting)
+    with pytest.raises(ValueError):
+        minimal_factorizations(BLOCKS, limit=50)
+
+
 def test_decomposition_validation_rejects_bad_spans():
     w = Word("abab")
     with pytest.raises(ValueError):
@@ -181,8 +266,16 @@ def test_decomposition_validation_rejects_bad_spans():
         Decomposition(((1, 3), (4, 5))).validate(w)  # runs past the end
     with pytest.raises(ValueError):
         Decomposition(((1, 4),)).validate(Word("abca"))  # ends agree, middle not
+    with pytest.raises(ValueError):
+        Decomposition(((1, 3), (4, 3), (4, 4))).validate(w)  # ends before it starts
+    with pytest.raises(ValueError):
+        Decomposition(()).validate(w)
     Decomposition(((1, 3), (4, 4))).validate(w)
     Decomposition(((1, 3), (4, 4))).validate(list(w))
+    Decomposition(()).validate(Word())
+    proved = {(1, 3)}
+    with pytest.raises(ValueError):  # a span outside the proved set is checked
+        Decomposition(((1, 3), (4, 5))).validate(Word("abaab"), proved)
 
 
 def test_first_attainment_fibonacci():

@@ -180,3 +180,13 @@ def test_concurrent_prefix_reads():
     full = stream.prefix(1000)
     for n, got in results.items():
         assert got == full[:n]
+
+
+def test_materialize_rejects_a_negative_horizon_on_words_and_streams():
+    from palfact.streams import materialize
+
+    assert materialize(Word("abaab"), 3) == Word("aba")
+    assert materialize(Word("abaab"), 0) == Word()
+    for source in (Word("abaab"), fibonacci_stream()):
+        with pytest.raises(ValueError, match="prefix length"):
+            materialize(source, -2)
