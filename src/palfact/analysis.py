@@ -16,29 +16,6 @@ from .streams import materialize, spec_of
 from .words import Word
 
 
-def _palindromic_spans_by_start(w: Sequence[int]) -> list[list[int]]:
-    """ends[start] = ascending end positions of palindromes starting there
-    (1-based), found by center expansion."""
-    n = len(w)
-    by_start: list[list[int]] = [[] for _ in range(n + 2)]
-    for center in range(n):
-        # odd lengths
-        i, j = center, center
-        while i >= 0 and j < n and w[i] == w[j]:
-            by_start[i + 1].append(j + 1)
-            i -= 1
-            j += 1
-        # even lengths
-        i, j = center, center + 1
-        while i >= 0 and j < n and w[i] == w[j]:
-            by_start[i + 1].append(j + 1)
-            i -= 1
-            j += 1
-    for ends in by_start:
-        ends.sort()
-    return by_start
-
-
 def reachable_sets(stream, k_max: int, horizon: int) -> list[set[int]]:
     """Endpoint sets I_0..I_k_max, where I_k holds the prefix lengths
     decomposable into exactly k nonempty palindromes.
@@ -51,13 +28,15 @@ def reachable_sets(stream, k_max: int, horizon: int) -> list[set[int]]:
         raise ValueError("k_max must be >= 0")
     w = materialize(stream, horizon)
     n = len(w)
-    by_start = _palindromic_spans_by_start(w)
+    # the palindromes starting at j end at j + s, s over the palindromic
+    # suffix lengths of the reversal's prefix of length n - j
+    rev = PalindromeIndex(w[::-1])
     sets: list[set[int]] = [{0}]
     for _ in range(k_max):
         frontier = set()
         for j in sets[-1]:
             if j < n:
-                frontier.update(by_start[j + 1])
+                frontier.update(map(j.__add__, rev.suffix_palindrome_lengths(n - j)))
         sets.append(frontier)
     dp = PalindromeIndex(w, track_min=True).min_factors
     for length in range(1, n + 1):
@@ -195,19 +174,24 @@ class NextSet:
 def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
     """Exhaustive search for the palindromes extending ``u`` (see NextSet).
 
-    Two closure rules let unary tails terminate instead of running to the
-    cap, so that genuinely empty results come back with zero open branches:
+    From a word x = y c^m (the run c^m maximal) the search visits the side
+    branch x d first, d the other letter, then the spine x c.  Two closure
+    rules let unary tails terminate instead of running to the cap, so that
+    genuinely empty results come back with zero open branches:
 
-    * run-domination: at x = y c^m with the run longer than every c-run of
-      the base, no completion x c^t can be a palindrome, and the sole extra
-      palindromic suffix of any x c^j d is d c^(m+j) d; when y minus its
-      final symbol needs at least two factors, every such side branch needs
-      three, so the whole tail is barren.
-    * spine stabilization: once the run exceeds the base length plus all the
-      room left below the cap, palindromic suffixes of any continuation
+    * run-domination: when the final run is longer than every earlier c-run
+      of x (every c-run of y), no completion x c^t can be a palindrome, and
+      the sole extra palindromic suffix of any x c^j d is d c^(m+j) d; when
+      y minus its final symbol needs at least two factors, every such side
+      branch needs three, so the whole tail is barren.
+    * spine stabilization: once the run exceeds the length of y plus all
+      the room left below the cap, palindromic suffixes of any continuation
       anchor at run-independent positions, so the side subtree repeats
       verbatim at every deeper run length; if one side subtree is fully
       explored with no member and no open branch, the tail is closed.
+
+    The search runs on an explicit stack, so its depth is bounded by
+    ``max_len`` alone.
     """
     base = Word(u)
     if not base:
@@ -220,105 +204,83 @@ def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
     _, table = pal_dp(base)
     if any(v > 2 for v in table.values[1:]):
         return NextSet(base, max_len, (), ())
+    base_len = len(base)
+    if base_len == max_len:  # the base itself sits at the cap, unexplored
+        return NextSet(base, max_len, (), (base,))
 
     tree = SharedEertree()
-    word: list[int] = []
-    nodes: list[int] = []
-    dp = [0]
-    runs: list[tuple[int, int, int]] = []  # (final run, max a-run of base, max b-run of base)
-    last = 1
-    for c in base:
-        word.append(c)
-        last = tree.advance(word, last)
-        nodes.append(last)
-        dp.append(tree.min_over_suffixes(last, len(word), dp) + 1)
-        if len(word) == 1:
-            runs.append((1, 0, 0))
-        else:
-            r, m0, m1 = runs[-1]
-            if word[-2] == c:
-                runs.append((r + 1, m0, m1))
-            else:
-                prev = word[-2]
-                if prev == 0:
-                    runs.append((1, max(m0, r), m1))
-                else:
-                    runs.append((1, m0, max(m1, r)))
+    push = tree.push
+    pop = tree.pop
+    word = tree.word
+    nodes = tree.nodes
+    dp = tree.dp
+    lens = tree.lens
+    # runs[n]: (final run, longest earlier 0-run, longest earlier 1-run) of
+    # the length-n prefix, where the earlier runs are all but the final one
+    runs: list[tuple[int, int, int]] = [(0, 0, 0)]
 
-    members: list[Word] = []
-    opens: list[Word] = []
-    base_len = len(base)
-
-    def leading_run(c: int) -> int:
-        if word[0] != c:
-            return 0
-        r = 0
-        for s in word:
-            if s != c:
-                break
-            r += 1
-        return r
-
-    def visit(c: int) -> None:
-        word.append(c)
-        node = tree.advance(word, nodes[-1])
-        nodes.append(node)
-        length = len(word)
-        dp.append(tree.min_over_suffixes(node, length, dp) + 1)
+    def grow(c: int) -> int:
+        val = push(c)
         r, m0, m1 = runs[-1]
-        if word[-2] == c:
+        if len(word) > 1 and word[-2] == c:
             runs.append((r + 1, m0, m1))
-        elif word[-2] == 0:
+        elif c:  # a 1-run opens after a 0-run
             runs.append((1, max(m0, r), m1))
         else:
             runs.append((1, m0, max(m1, r)))
-        try:
-            if dp[length] > 2:
-                return
-            if tree.lens[node] == length:
-                if length > base_len:
-                    members.append(Word(word))
-                return
-            if length == max_len:
-                opens.append(Word(word))
-                return
-            explore()
-        finally:
-            word.pop()
-            nodes.pop()
-            dp.pop()
-            runs.pop()
+        return val
 
-    def explore() -> None:
-        length = len(word)
-        run, m0, m1 = runs[-1]
-        c_run = word[-1]
-        d = 1 - c_run
-        skip_spine = False
-        if dp[length] == 2:
-            y_len = length - run
-            if y_len >= 1:
-                max_c_in_base = m0 if c_run == 0 else m1
-                if (
-                    run > max_c_in_base
-                    and run >= leading_run(c_run)
-                    and dp[y_len - 1] >= 2
-                ):
-                    skip_spine = True
-        before = (len(members), len(opens))
-        visit(d)
-        if not skip_spine and dp[length] == 2:
-            y_len = length - run
-            if run > y_len + (max_len - length):
-                if (len(members), len(opens)) == before:
-                    skip_spine = True
-        if not skip_spine:
-            visit(c_run)
+    for c in base:
+        grow(c)
 
-    if base_len < max_len:
-        explore()
-    else:  # the base itself sits at the cap, unexplored
-        opens.append(base)
+    members: list[Word] = []
+    opens: list[Word] = []
+    # One frame per word whose side branch is under way: (its length, spine
+    # closed by run-domination, members plus open branches before the side).
+    frames: list[tuple[int, bool, int]] = []
+    length = base_len
+    explore = True
+    while True:
+        if explore:
+            run, m0, m1 = runs[length]
+            c = word[-1]
+            closed = (
+                dp[length] == 2
+                and run < length
+                and run > (m1 if c else m0)
+                and dp[length - run - 1] >= 2
+            )
+            frames.append((length, closed, len(members) + len(opens)))
+            c = 1 - c
+        elif frames:
+            length, closed, found = frames.pop()
+            while len(word) > length:
+                pop()
+            del runs[length + 1 :]
+            if closed:
+                continue
+            run = runs[length][0]
+            if (
+                dp[length] == 2
+                and run > max_len - run  # |y| plus the room below the cap
+                and len(members) + len(opens) == found
+            ):
+                continue  # spine stabilization
+            c = word[-1]
+        else:
+            break
+        val = grow(c)
+        length += 1
+        explore = False
+        if val > 2:
+            continue
+        if lens[nodes[-1]] == length:
+            if length > base_len:
+                members.append(Word(word))
+        elif length == max_len:
+            opens.append(Word(word))
+        else:
+            explore = True
     members.sort(key=lambda w: (len(w), w))
     opens.sort(key=lambda w: (len(w), w))
     return NextSet(base, max_len, tuple(members), tuple(opens))

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a verification suite found a counterexample,
-2 usage, parse or resource errors (a search nesting past the recursion
-limit included).  Output is byte-identical for identical arguments and seed.
+2 usage, parse or resource errors.  Output is byte-identical for identical
+arguments and seed.
 """
 
 from __future__ import annotations
@@ -428,11 +428,6 @@ def main(argv=None) -> int:
         token = getattr(exc, "token", None)
         suffix = f" (token: {token})" if token else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        hint = "; try a smaller --max-len" if args.command == "next" else ""
-        print(f"error: the search nests deeper than the interpreter's "
-              f"recursion limit{hint}", file=sys.stderr)
         return 2
 
 

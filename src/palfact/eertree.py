@@ -200,12 +200,6 @@ class PalindromeIndex:
                 dp.append(best + 1)
         self._last = last
 
-    def is_full_palindrome(self, prefix_len: int) -> bool:
-        """Whether the prefix of the given length is itself a palindrome."""
-        if prefix_len == 0:
-            return True
-        return self._lps[prefix_len - 1] == prefix_len
-
     def suffix_palindrome_lengths(self, prefix_len: int) -> Iterator[int]:
         """All palindromic suffix lengths of the given prefix, decreasing."""
         lens = self._len
@@ -242,20 +236,27 @@ class PalindromeIndex:
 
 
 class SharedEertree:
-    """Eertree nodes shared across the branches of a backtracking search.
+    """Eertree of one backtracking branch, with nodes shared across branches.
 
     A node is identified by its palindrome's symbol content, so lengths,
     suffix links and transitions computed while exploring one branch remain
-    valid on every other branch over the same alphabet.  The caller owns the
-    per-branch state (the word itself and the node per position).
+    valid on every other branch over the same alphabet.  The tree also owns
+    the branch: ``word``, ``nodes`` (the longest-palindromic-suffix node per
+    prefix length, ``nodes[0]`` the empty root) and ``dp`` (the minimum
+    palindromic factor count per prefix length), which ``push`` and ``pop``
+    grow and shrink together.  The prefix of length ``n`` is a palindrome
+    exactly when ``lens[nodes[n]] == n``.
     """
 
-    __slots__ = ("lens", "link", "trans")
+    __slots__ = ("lens", "link", "trans", "word", "nodes", "dp")
 
     def __init__(self):
         self.lens = [-1, 0]
         self.link = [0, 0]
         self.trans: list[dict] = [{}, {}]
+        self.word: list[int] = []
+        self.nodes = [1]
+        self.dp = [0]
 
     def advance(self, word: Sequence[int], last: int) -> int:
         """Node of the longest palindromic suffix after the caller appended
@@ -290,19 +291,34 @@ class SharedEertree:
             trans.append({})
         return nxt
 
-    def min_over_suffixes(self, node: int, length: int, dp: Sequence[int]) -> int:
-        """min(dp[length - s]) over all palindromic suffix lengths s at the
-        position represented by ``node``."""
-        best = length
+    def push(self, c: int) -> int:
+        """Append ``c`` to the branch; return the new prefix's minimum
+        palindromic factor count, one plus the least ``dp[n - s]`` over its
+        palindromic suffix lengths ``s``."""
+        word = self.word
+        word.append(c)
+        node = self.advance(word, self.nodes[-1])
+        self.nodes.append(node)
         lens = self.lens
         link = self.link
+        dp = self.dp
+        n = len(word)
+        best = n
         v = node
         while lens[v] > 0:
-            c = dp[length - lens[v]]
-            if c < best:
-                best = c
+            x = dp[n - lens[v]]
+            if x < best:
+                best = x
             v = link[v]
+        best += 1
+        dp.append(best)
         return best
+
+    def pop(self) -> None:
+        """Undo the last ``push``; the nodes it created stay for reuse."""
+        self.word.pop()
+        self.nodes.pop()
+        self.dp.pop()
 
 
 def longest_palindromic_suffix(w: Sequence[int]) -> int:

@@ -285,47 +285,40 @@ def _lower_bound_provable(k: int, b: int, depth: int, node_budget: int) -> bool:
     use all k letters (or never resolve the last run) are out of scope.
     """
     tree = SharedEertree()
-    word: list[int] = []
-    nodes: list[int] = [1]
-    dp = [0]
-    budget = [node_budget]
-
-    def rec(used: int, run_open: bool, maxpal: int) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
+    push = tree.push
+    pop = tree.pop
+    word = tree.word
+    left = node_budget
+    # Nodes still to visit, in preorder: (parent's length, symbol appended,
+    # letters used, last letter's first run still open, parent's prefix
+    # maximum).  The root appends nothing (symbol -1).
+    stack = [(0, -1, 0, False, 0)]
+    while stack:
+        length, c, used, run_open, maxpal = stack.pop()
+        if c >= 0:
+            while len(word) > length:
+                pop()
+            val = push(c)
+            length += 1
+            if val > maxpal:
+                maxpal = val
+        left -= 1
+        if left < 0:
             raise SearchCapExceeded(
                 f"node budget {node_budget} exhausted", nodes=node_budget
             )
         if maxpal >= b:
-            return True
-        length = len(word)
+            continue
         if length == depth:
             if used == k and (k == 1 or not run_open):
                 return False
-            return True
-        limit = used + 1 if used < k else k
-        for c in range(limit):
-            word.append(c)
-            node = tree.advance(word, nodes[-1])
-            nodes.append(node)
-            val = tree.min_over_suffixes(node, length + 1, dp) + 1
-            dp.append(val)
-            new_used = used + 1 if c == used else used
-            if new_used == k and used == k - 1:
-                new_open = True
-            elif run_open and c == k - 1:
-                new_open = True
+            continue
+        for c in range(used if used < k else k - 1, -1, -1):
+            if c == used:
+                stack.append((length, c, used + 1, used == k - 1, maxpal))
             else:
-                new_open = False
-            ok = rec(new_used, new_open, val if val > maxpal else maxpal)
-            word.pop()
-            nodes.pop()
-            dp.pop()
-            if not ok:
-                return False
-        return True
-
-    return rec(0, False, 0)
+                stack.append((length, c, used, run_open and c == k - 1, maxpal))
+    return True
 
 
 def search_prefix_floor(k: int, depth: int, node_budget: int = 5_000_000) -> int:

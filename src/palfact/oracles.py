@@ -39,10 +39,6 @@ def brute_pal_table(w: Sequence[int]) -> list[int]:
     return values
 
 
-def brute_pal_length(w: Sequence[int]) -> int:
-    return brute_pal_table(w)[-1]
-
-
 def brute_palindromic_spans(w: Sequence[int]) -> list[tuple[int, int]]:
     """All palindromic (start, end) spans, 1-based inclusive, by expanding
     around every center."""

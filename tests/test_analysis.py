@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -73,6 +74,19 @@ def test_reachable_sets_agree_with_tables_on_varied_streams():
     # reachable_sets raises internally if the minimum-k cross-check fails
     for stream in streams:
         reachable_sets(stream, 5, 120)
+
+
+def test_reachable_sets_unary_word_lists_no_quadratic_span_table():
+    # a^n has n(n+1)/2 palindromic factors; a table of them all by start
+    # peaked at 18.8 MB traced for n = 1000
+    tracemalloc.start()
+    try:
+        sets = reachable_sets(Word("a" * 1000), 2, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sets[1] == set(range(1, 1001)) and sets[2] == set(range(2, 1001))
+    assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------- bounds

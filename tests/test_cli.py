@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import json
 import random
+import sys
 import time
 from enum import IntEnum
 
@@ -8,7 +10,7 @@ import pytest
 
 import palfact.analysis
 import palfact.cli
-from palfact import Periodic, Word, classify_bound2
+from palfact import Periodic, Word, classify_bound2, search_prefix_floor
 from palfact.cli import _json_doc, main
 
 
@@ -97,12 +99,32 @@ def test_next_command(capsys):
     assert "aba" in out and "abba" in out
 
 
-def test_next_too_deep_is_a_usage_error(capsys):
-    # the search recurses once per symbol and passes the interpreter's limit
-    code, out, err = run_cli(capsys, "next", "lit:a", "--max-len", "800")
-    assert code == 2
-    assert out == ""
-    assert "--max-len" in err and "Traceback" not in err
+def test_next_runs_deep_unary_tails(capsys):
+    # the members are aa and ab^n a, so the search walks the spine ab^n to
+    # the cap, one symbol deeper at each step
+    code, out, _ = run_cli(capsys, "next", "lit:a", "--max-len", "800",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["palindromes"] == ["aa"] + ["a" + "b" * n + "a" for n in range(1, 799)]
+    assert doc["open_branches"] == ["a" + "b" * 799]
+    start = time.perf_counter()
+    code, _, _ = run_cli(capsys, "next", "lit:a", "--max-len", "2000")
+    assert code == 0
+    assert time.perf_counter() - start < 2
+
+
+def test_searches_do_not_recurse_per_symbol(capsys):
+    depth = len(inspect.stack())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        code, out, _ = run_cli(capsys, "next", "lit:a", "--max-len", "1500")
+        floor = search_prefix_floor(3, 12)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0 and out.count("\n") == 1503
+    assert floor == 3
 
 
 def test_bounds_builds_one_report_labelled_with_the_source(capsys, monkeypatch):
@@ -279,6 +301,15 @@ GOLDEN_DIGESTS = [
      "4e0153808cfebdcf79231412acf5f01bfa1ffc4cd91b7c066aa6ded7eea147db"),
     (("decompose", "uladder:6", "--format", "text"),
      "69a877e5e5a96e861113b4c86cadec702858b9e41ec93693c9b068bd59705598"),
+    # recorded before the next-set search moved from recursion to a stack
+    (("next", "lit:aab", "--max-len", "64", "--format", "json"),
+     "ee4641cc205a67dca960af958753df84a4612ab1ad868e658e22bf62f7baaa7a"),
+    (("next", "lit:aab", "--max-len", "64", "--format", "text"),
+     "da4bbac6d0092136e1ab71a4cc92393b6d6ce5f3cceb0bcad0cf6b50a136412f"),
+    (("next", "lit:ab", "--max-len", "128", "--format", "json"),
+     "886176af79217b9aaafbe74f0a2c42a59d905b6ca8df5081974a3ff48164af4f"),
+    (("next", "lit:ab", "--max-len", "128", "--format", "text"),
+     "a6c54d3bf70f787dc100b2974268038854a6747a03d1cfdd7fb70e40cc7e65e7"),
 ]
 
 

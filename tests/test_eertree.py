@@ -14,7 +14,9 @@ from palfact import (
     product_of_two_palindromes,
     word_u_stream,
 )
+from palfact.eertree import SharedEertree
 from palfact.greedy import lgpal
+from palfact.pallen import pal_dp
 from palfact.oracles import (
     brute_distinct_palindromes,
     brute_lgpal,
@@ -88,6 +90,24 @@ def test_longest_suffix_leq_against_spans():
             for cap in range(0, pos + 2):
                 want = max((x for x in lengths if x <= cap), default=0)
                 assert idx.longest_suffix_leq(pos, cap) == want
+
+
+def test_shared_eertree_push_pop_walks():
+    # seeded walks that grow and shrink one branch (kept under 80 letters);
+    # after every step the table and palindrome test match a fresh computation
+    rng = random.Random(11)
+    for alphabet in (1, 2, 3, 4):
+        tree = SharedEertree()
+        for _ in range(2000):
+            if tree.word and (rng.random() < 0.4 or len(tree.word) == 80):
+                tree.pop()
+            else:
+                val = tree.push(rng.randrange(alphabet))
+                assert val == tree.dp[-1]
+            word = tree.word
+            assert tuple(tree.dp) == pal_dp(word)[1].values
+            assert len(tree.nodes) == len(word) + 1
+            assert (tree.lens[tree.nodes[-1]] == len(word)) == (word == word[::-1])
 
 
 def test_left_greedy_counts_against_scanning_reference():

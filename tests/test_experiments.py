@@ -17,8 +17,13 @@ from palfact import (
     verify_u_suffixes,
     prefix_floor_witness,
 )
-from palfact.eertree import PalindromeIndex
-from palfact.experiments import SUITES, prefix_floor_experiment, ladder_experiment
+from palfact.eertree import PalindromeIndex, SharedEertree
+from palfact.experiments import (
+    SUITES,
+    _lower_bound_provable,
+    ladder_experiment,
+    prefix_floor_experiment,
+)
 
 
 def test_occurrence_balance_passes():
@@ -73,6 +78,67 @@ def test_search_lower_bounds():
 def test_search_budget():
     with pytest.raises(SearchCapExceeded):
         search_prefix_floor(3, 12, node_budget=50)
+
+
+def recursive_lower_bound_provable(k, b, depth, node_budget):
+    """Reference: the canonical search by recursion over symbols, keeping
+    its own branch state next to the tree's shared nodes."""
+    tree = SharedEertree()
+    word, nodes, dp = [], [1], [0]
+    budget = [node_budget]
+
+    def rec(used, run_open, maxpal):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SearchCapExceeded("budget", nodes=node_budget)
+        if maxpal >= b:
+            return True
+        length = len(word)
+        if length == depth:
+            return not (used == k and (k == 1 or not run_open))
+        for c in range(used + 1 if used < k else k):
+            word.append(c)
+            node = tree.advance(word, nodes[-1])
+            nodes.append(node)
+            v, best = node, length + 1
+            while tree.lens[v] > 0:
+                best = min(best, dp[length + 1 - tree.lens[v]])
+                v = tree.link[v]
+            dp.append(best + 1)
+            new_used = used + 1 if c == used else used
+            new_open = (c == used == k - 1) or (run_open and c == k - 1)
+            ok = rec(new_used, new_open, max(maxpal, best + 1))
+            word.pop()
+            nodes.pop()
+            dp.pop()
+            if not ok:
+                return False
+        return True
+
+    return rec(0, False, 0)
+
+
+def test_prefix_floor_search_matches_recursive_reference():
+    for k in range(1, 5):
+        for depth in range(1, 13):
+            for b in range(1, depth + 1):
+                want = recursive_lower_bound_provable(k, b, depth, 10**6)
+                assert _lower_bound_provable(k, b, depth, 10**6) == want, (k, b, depth)
+
+
+def test_prefix_floor_budget_trips_where_the_reference_does():
+    def outcome(search, budget):
+        verdicts = []
+        for b in range(1, 5):
+            try:
+                verdicts.append(search(3, b, 12, budget))
+            except SearchCapExceeded:
+                verdicts.append("exhausted")
+        return verdicts
+
+    for budget in range(1, 301):
+        want = outcome(recursive_lower_bound_provable, budget)
+        assert outcome(_lower_bound_provable, budget) == want, budget
 
 
 def test_witnesses():
