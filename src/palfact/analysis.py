@@ -274,11 +274,12 @@ def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
         explore = False
         if val > 2:
             continue
+        # the search appends only 0 and 1, so the words need no symbol check
         if lens[nodes[-1]] == length:
             if length > base_len:
-                members.append(Word(word))
+                members.append(tuple.__new__(Word, word))
         elif length == max_len:
-            opens.append(Word(word))
+            opens.append(tuple.__new__(Word, word))
         else:
             explore = True
     members.sort(key=lambda w: (len(w), w))

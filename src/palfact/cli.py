@@ -25,12 +25,15 @@ from .words import Word, render, render_style
 SCHEMA_VERSION = 1
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | list[str], out_path: str | None) -> None:
+    """Write ``text``, or the pieces of a JSON document in order, to
+    ``out_path`` or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _dump(obj, indent: str, memo: dict, out: list) -> None:
@@ -41,7 +44,8 @@ def _dump(obj, indent: str, memo: dict, out: list) -> None:
     writer renders the shapes the reports consist of (dicts with str keys,
     lists of ints, lists of int lists such as spans) with C-level joins, and
     hands everything else to ``json.dumps``.  It appends pieces instead of
-    nesting strings, so a large document is copied once, by the final join.
+    nesting strings, and the pieces are written as they are, never joined,
+    so a large document is held once.
     ``memo`` lives for one document; see ``_rows``.
     """
     inner = indent + "  "
@@ -119,13 +123,14 @@ def _equal_int_rows(rows) -> bool:
             and set(map(type, chain.from_iterable(rows))) == {int})
 
 
-def _json_doc(payload: dict) -> str:
+def _json_doc(payload: dict) -> list[str]:
+    """The pieces of the JSON report of ``payload``, in order."""
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(payload)
     out: list[str] = []
     _dump(doc, "", {}, out)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 class _SpanText(dict):
@@ -340,13 +345,19 @@ def cmd_experiments(args) -> int:
     return 1 if failed else 0
 
 
-def _add_common(sp, horizon_default=None):
+def _add_common(sp, horizon_default=None, formats=("text", "csv", "json")):
+    # every command lists all three formats, so help and usage keep one
+    # shape; main rejects those the command cannot render
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    sp.set_defaults(formats=formats)
     sp.add_argument("--out", default=None, help="write output to a file")
     sp.add_argument("--cap", type=int, default=None,
                     help="override the materialization cap")
     if horizon_default is not None:
         sp.add_argument("--horizon", type=int, default=horizon_default)
+
+
+_TEXT_JSON = ("text", "json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("word")
     sp.add_argument("--limit", type=int, default=100,
                     help="cap on enumerated minimal decompositions")
-    _add_common(sp)
+    _add_common(sp, formats=_TEXT_JSON)
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("profile", help="per-prefix factor counts of a stream, "
@@ -383,45 +394,55 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("word")
     sp.add_argument("--window", type=int, default=100,
                     help="factor window for the factor maximum")
-    _add_common(sp, horizon_default=1000)
+    _add_common(sp, horizon_default=1000, formats=_TEXT_JSON)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("next", help="palindromes extending a binary word "
                                      "within the two-factor prefix bound")
     sp.add_argument("word")
     sp.add_argument("--max-len", type=int, default=32, dest="max_len")
-    _add_common(sp)
+    _add_common(sp, formats=_TEXT_JSON)
     sp.set_defaults(func=cmd_next)
 
     sp = sub.add_parser("verify", help="run verification suites "
                                        f"({', '.join(sorted(SUITES))})")
-    sp.add_argument("suites", nargs="*", default=[],
+    sp.add_argument("suites", nargs="*", default=(),
                     help="suite names, or 'all'")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-identical "
                          "reruns)")
-    _add_common(sp)
+    _add_common(sp, formats=_TEXT_JSON)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("experiments", help="run the named experiments and "
                                             "emit JSON reports "
                                             f"({', '.join(EXPERIMENTS)})")
-    sp.add_argument("suites", nargs="*", default=[])
+    sp.add_argument("suites", nargs="*", default=())
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-identical "
                          "reruns)")
-    _add_common(sp)
+    _add_common(sp, formats=_TEXT_JSON)
     sp.set_defaults(func=cmd_experiments)
 
     return parser
 
 
+# Built by the first main call.  parse_args reads a parser and changes
+# nothing in it, so every later call in the process reuses this one.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
+        if args.format not in args.formats:
+            raise ParseError(f"{args.command} supports --format "
+                             f"{' or '.join(args.formats)}, not {args.format}")
         return args.func(args)
     except (ParseError, CapExceeded, SearchCapExceeded, AmbiguousHorizon,
             ValueError) as exc:

@@ -45,25 +45,19 @@ class Word(tuple):
         return f"Word({str(self)!r})"
 
     def __str__(self) -> str:
-        # Words over 1..9 with no 0 come from the integer-letter families;
-        # everything else small renders as letters.
-        if self and all(1 <= s <= 9 for s in self):
-            return self.digits()
-        if all(s <= 25 for s in self):
-            return self.letters()
-        return ".".join(str(s) for s in self)
+        return _join(self, render_style(self))
 
     def letters(self) -> str:
         """Render with a..z for symbols 0..25."""
-        if any(s > 25 for s in self):
+        if self and max(self) > 25:
             raise ValueError("word has symbols outside a..z range")
-        return "".join(_LETTERS[s] for s in self)
+        return _join(self, "letters")
 
     def digits(self) -> str:
         """Render with one digit character per symbol (symbols must be 0..9)."""
-        if any(s > 9 for s in self):
+        if self and max(self) > 9:
             raise ValueError("word has symbols outside 0..9 range")
-        return "".join(str(s) for s in self)
+        return _join(self, "digits")
 
     def __add__(self, other) -> "Word":
         return Word(tuple(self) + tuple(other))
@@ -88,12 +82,26 @@ EMPTY = Word()
 
 
 def render_style(w: "Word") -> str:
-    """The notation ``str`` picks for a word: digits, letters or ints."""
-    if w and all(1 <= s <= 9 for s in w):
-        return "digits"
-    if all(s <= 25 for s in w):
+    """The notation ``str`` picks for a word: digits, letters or ints.
+
+    Words over 1..9 with no 0 come from the integer-letter families;
+    everything else up to 25 renders as letters.  The decision takes one
+    C-level ``min`` and ``max``, not a Python scan per symbol.
+    """
+    if not w:
         return "letters"
-    return "ints"
+    top = max(w)
+    if top <= 9 and min(w) >= 1:
+        return "digits"
+    return "letters" if top <= 25 else "ints"
+
+
+def _join(w: "Word", style: str) -> str:
+    """Render a word in ``style`` with one C-level join, trusting that its
+    symbols fit the notation."""
+    if style == "letters":
+        return "".join(map(_LETTERS.__getitem__, w))
+    return ("" if style == "digits" else ".").join(map(str, w))
 
 
 def render(w: "Word", style: str) -> str:
@@ -103,7 +111,7 @@ def render(w: "Word", style: str) -> str:
         return w.digits()
     if style == "letters":
         return w.letters()
-    return ".".join(str(s) for s in w)
+    return _join(w, "ints")
 
 
 def mirror(w: Sequence[int]) -> Word:

@@ -1,9 +1,12 @@
 import hashlib
 import inspect
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+import tracemalloc
 from enum import IntEnum
 
 import pytest
@@ -399,13 +402,13 @@ def reused_rows_doc(rng):
     {"a": [[1, 2], (1, 2)], "b": [(1, 2), [1, 2]]},
 ])
 def test_json_writer_tells_equal_rows_of_other_types_apart(doc):
-    assert _json_doc(doc) == json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
+    assert "".join(_json_doc(doc)) == json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
 
 
 def test_json_writer_renders_a_shared_row_at_every_depth():
     row = (1, 2)
     doc = {"a": [row, row], "b": [[row], {"c": [row, (1, True), row]}], "d": [row]}
-    assert _json_doc(doc) == json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
+    assert "".join(_json_doc(doc)) == json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
 
 
 def test_json_writer_matches_json_dumps_with_reused_rows():
@@ -413,7 +416,7 @@ def test_json_writer_matches_json_dumps_with_reused_rows():
     for _ in range(1500):
         doc = reused_rows_doc(rng)
         expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
-        assert _json_doc(doc) == expected
+        assert "".join(_json_doc(doc)) == expected
 
 
 def test_json_writer_matches_json_dumps():
@@ -422,7 +425,7 @@ def test_json_writer_matches_json_dumps():
         doc = {f"f{i}": random_json(rng, rng.randrange(4))
                for i in range(rng.randrange(5))}
         expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
-        assert _json_doc(doc) == expected
+        assert "".join(_json_doc(doc)) == expected
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -484,3 +487,152 @@ def test_negative_horizon_or_window_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+# SHA-256 of `--help` (stdout) and of usage errors (stderr, with the exit
+# code), recorded before main began to reuse one parser per process; help
+# is formatted 80 columns wide.
+HELP_DIGESTS = [
+    (("--help",), 0,
+     "910e06985092136de9d06566aa0034babc8835c1a318715e557297e84e2657fe"),
+    (("len", "--help"), 0,
+     "bf00973e2b60659d2dfb4407315fd79b3fa337f036864498892b33946ca27126"),
+    (("decompose", "--help"), 0,
+     "5e9f55d5b2e5cf8b7cc75959ce50d8c487f63dd6635e4debd6b763e5b0f0e026"),
+    (("profile", "--help"), 0,
+     "ad5621f550a4d846118b8baae3fda0d069ea4255ec407b973df7f59dcdb0422e"),
+    (("bounds", "--help"), 0,
+     "d7ede151070b273972522867f56f5324502a26d8aa10c6283beb2aa417bfd19a"),
+    (("next", "--help"), 0,
+     "8ba0a1cbb53b324a2161e6503f3b47e72a7a0b94f53b4266a1645410d427c602"),
+    (("verify", "--help"), 0,
+     "c52b3a8e4bbc5dfa3b86fc1a1255424243653e65b82542c07813f14c4b0b2f50"),
+    (("experiments", "--help"), 0,
+     "fe93ea1658b62a90971604a0e90c48326d2561ab49dcb716ecda4bb7c49947ba"),
+    ((), 2, "0b12ddee4f222f8535c3ce1498b0d189b951336c7fa97ccc5945799324fb918a"),
+    (("foo",), 2,
+     "66066eb45912aef49bea50518ced31d8970159b14df4109c28252063925aa4e9"),
+    (("len",), 2,
+     "bb376aa87bbcb54bce660723b089ec00bcaae46b2cf5462dcd66c227888d2c46"),
+    (("len", "lit:ab", "--format", "xml"), 2,
+     "f83a2c76ae19d33ec4c21554ba414f3e36b4c5c871b9cad361502fa3264e778f"),
+]
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def parse_exit(capsys, argv):
+    """Exit code and the digest of what argparse wrote for an ``argv`` on
+    which the parser itself exits: stdout for help, stderr for an error."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, sha(captured.out if exc.value.code == 0 else captured.err)
+
+
+@pytest.mark.parametrize("argv,code,digest", HELP_DIGESTS,
+                         ids=[" ".join(a) or "(none)" for a, _, _ in HELP_DIGESTS])
+def test_help_and_usage_are_pinned(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parse_exit(capsys, argv) == (code, digest)
+    # and again once the parser has served other calls
+    run_cli(capsys, "len", "lit:ab", "--format", "csv")
+    assert parse_exit(capsys, argv) == (code, digest)
+
+
+def fresh_process(*argv):
+    """stdout of ``python -m palfact.cli argv`` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(palfact.cli.__file__))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "palfact.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_help_in_a_new_process_matches_the_pinned_digest():
+    assert sha(fresh_process("--help")) == HELP_DIGESTS[0][2]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    calls = []
+    original = palfact.cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return original()
+
+    monkeypatch.setattr(palfact.cli, "build_parser", counting)
+    monkeypatch.setattr(palfact.cli, "_PARSER", None)
+    for i in range(20):
+        code, out, _ = run_cli(capsys, "len", f"lit:ab{'a' * i}")
+        assert code == 0 and out.startswith("pal=")
+    assert len(calls) <= 1
+    assert palfact.cli.build_parser is counting
+    # the public builder still returns a complete parser of its own
+    parser = original()
+    assert parser is not palfact.cli._PARSER
+    args = parser.parse_args(["next", "lit:ab", "--max-len", "9"])
+    assert (args.command, args.max_len, args.format) == ("next", 9, "text")
+
+
+def test_decompose_limit_does_not_outlive_its_call(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "lit:aabaab", "--limit", "1")
+    assert code == 0 and "(1, truncated)" in out
+    code, out, _ = run_cli(capsys, "decompose", "lit:aabaab")
+    assert code == 0 and "(2):" in out
+    assert out == fresh_process("decompose", "lit:aabaab")
+
+
+def test_timings_do_not_outlive_their_call(capsys):
+    code, out, _ = run_cli(capsys, "verify", "lps", "--timings", "--format", "json")
+    assert code == 0 and "runtime_seconds" in out
+    code, out, _ = run_cli(capsys, "verify", "lps", "--format", "json")
+    assert code == 0 and "runtime_seconds" not in out
+    assert out == fresh_process("verify", "lps", "--format", "json")
+
+
+def test_out_file_does_not_outlive_its_call(tmp_path, capsys):
+    target = tmp_path / "len.txt"
+    code, out, _ = run_cli(capsys, "len", "lit:abaab", "--out", str(target))
+    assert (code, out) == (0, "")
+    written = target.read_text()
+    code, out, _ = run_cli(capsys, "len", "lit:abaab")
+    assert code == 0
+    assert out == written == fresh_process("len", "lit:abaab")
+    assert target.read_text() == written
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "lit:abab"),
+    ("next", "lit:ab", "--max-len", "8"),
+    ("bounds", "periodic:ab", "--horizon", "50"),
+    ("verify", "lps"),
+    ("experiments", "occdiff"),
+])
+def test_csv_is_refused_where_it_is_not_rendered(capsys, argv):
+    # these commands used to accept --format csv and print text or JSON
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} supports --format text or json, not csv\n"
+
+
+def test_json_output_is_not_held_twice(tmp_path):
+    # these 4000 random letters over a..d give 8.2 MiB of JSON; joining the
+    # pieces before writing them took the traced peak to 2.28 times that
+    # size, against 1.38 when the pieces are written as they are
+    spec = seeded_word(6, 4, 4000)
+    target = tmp_path / "decompose.json"
+    main(["len", "lit:ab"])  # the parser and lazy module state exist already
+    tracemalloc.start()
+    try:
+        code = main(["decompose", spec, "--format", "json", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = target.stat().st_size
+    assert size > 8 * 2**20
+    assert peak < 1.6 * size

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from palfact import (
@@ -8,6 +10,8 @@ from palfact import (
     mirror,
     palindromic_closure,
     primitive_root,
+    render,
+    render_style,
 )
 from palfact.oracles import brute_palindromic_closure
 
@@ -35,6 +39,46 @@ def test_word_rendering():
     assert Word("ab").letters() == "ab"
     with pytest.raises(ValueError):
         Word([30]).letters()
+
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def reference_str(w):
+    """``str(Word)`` as first written: one Python scan per candidate
+    notation, then a per-symbol join."""
+    if w and all(1 <= s <= 9 for s in w):
+        return "".join(str(s) for s in w)
+    if all(s <= 25 for s in w):
+        return "".join(_LETTERS[s] for s in w)
+    return ".".join(str(s) for s in w)
+
+
+def reference_style(w):
+    if w and all(1 <= s <= 9 for s in w):
+        return "digits"
+    if all(s <= 25 for s in w):
+        return "letters"
+    return "ints"
+
+
+def test_rendering_matches_the_scanning_reference():
+    rng = random.Random(2016)
+    pools = ((0, 1), (1,), (1, 2, 9), (0, 9), (9, 10), (0, 25), (1, 25), (25, 26),
+             (0, 26), (1, 10), (3, 2**64, 10**30), tuple(range(30)))
+    words = [(), (0,), (1,), (9,), (10,), (25,), (26,), (2**100,), (1,) * 40,
+             (1, 1, 1), (0, 9, 10, 25, 26), (26, 1), (9, 1), (2**70, 0)]
+    for _ in range(3000):
+        pool = rng.choice(pools)
+        words.append(tuple(rng.choice(pool) for _ in range(rng.randrange(12))))
+    for symbols in words:
+        w = Word(symbols)
+        style = reference_style(symbols)
+        assert render_style(w) == style, symbols
+        assert str(w) == reference_str(symbols), symbols
+        assert repr(w) == f"Word({reference_str(symbols)!r})"
+        assert render(w, style) == reference_str(symbols)
+    assert str(Word((1,) * 5)) == "11111"  # an all-1 word renders as digits
 
 
 def test_word_concat_and_slice_stay_words():
