@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .eertree import PalindromeIndex, SharedEertree
-from .engine import palindromic_prefixes
+from .engine import gap_sequence, palindromic_prefix_lengths
 from .errors import AmbiguousHorizon
 from .pallen import pal_dp
 from .streams import materialize, spec_of
@@ -103,6 +103,21 @@ class BoundReport:
         }
 
 
+def _prefix_statistics(w: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Prefix maximum of the minimum factor count and the palindromic-prefix
+    lengths of ``w``, both from one ``track_min`` index."""
+    idx = PalindromeIndex(w, track_min=True)
+    return max(idx.min_factors[1:], default=0), palindromic_prefix_lengths(idx.lps)
+
+
+def _binary_rule(w: Sequence[int], prefix_max: int, pp: Sequence[int]) -> str:
+    """If every prefix fits in two palindromic factors and there are at least
+    three palindromic prefixes, the alphabet must be binary."""
+    if prefix_max > 2 or len(pp) < 3:
+        return "inapplicable"
+    return "pass" if len(set(w)) <= 2 else "fail"
+
+
 def bound_report(stream, horizon: int, factor_window: int = 100) -> BoundReport:
     """Prefix and windowed-factor maxima of the minimum factor count."""
     if factor_window < 0:
@@ -110,38 +125,20 @@ def bound_report(stream, horizon: int, factor_window: int = 100) -> BoundReport:
     if factor_window > horizon:
         raise ValueError("factor_window must not exceed the horizon")
     w = materialize(stream, horizon)
-    dp = PalindromeIndex(w, track_min=True).min_factors
-    prefix_max = max(dp[1:], default=0)
+    prefix_max, pp = _prefix_statistics(w)
     factor_max = _windowed_factor_max(w, factor_window)
-    verdicts: dict[str, str] = {}
-
-    pp = palindromic_prefixes(w, len(w))
-    if prefix_max <= 2 and len(pp) >= 3:
-        verdicts["bounded_by_2_implies_binary"] = (
-            "pass" if len(set(w)) <= 2 else "fail"
-        )
-    else:
-        verdicts["bounded_by_2_implies_binary"] = "inapplicable"
-    if len(pp) >= 3:
-        gaps = [b - a for a, b in zip(pp.lengths, pp.lengths[1:])]
-        verdicts["prefix_gap_monotone"] = (
-            "pass" if all(x <= y for x, y in zip(gaps, gaps[1:])) else "fail"
-        )
-    else:
-        verdicts["prefix_gap_monotone"] = "inapplicable"
+    verdicts = {
+        "bounded_by_2_implies_binary": _binary_rule(w, prefix_max, pp),
+        "prefix_gap_monotone": (("pass" if gap_sequence(pp).monotone else "fail")
+                                if len(pp) >= 3 else "inapplicable"),
+    }
     return BoundReport(spec_of(stream), len(w), factor_window, prefix_max, factor_max, verdicts)
 
 
 def alphabet_bound_check(stream, horizon: int) -> str:
-    """If every prefix fits in two palindromic factors and the stream has at
-    least three palindromic prefixes, its alphabet must be binary."""
+    """The binary-alphabet rule of ``bound_report`` on its own."""
     w = materialize(stream, horizon)
-    dp = PalindromeIndex(w, track_min=True).min_factors
-    prefix_max = max(dp[1:], default=0)
-    pp = palindromic_prefixes(w, len(w))
-    if prefix_max > 2 or len(pp) < 3:
-        return "inapplicable"
-    return "pass" if len(set(w)) <= 2 else "fail"
+    return _binary_rule(w, *_prefix_statistics(w))
 
 
 # --------------------------------------------------------------------------
@@ -201,13 +198,6 @@ def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
     if any(s not in (0, 1) for s in base):
         raise ValueError("next-set enumeration is defined over the binary alphabet")
 
-    _, table = pal_dp(base)
-    if any(v > 2 for v in table.values[1:]):
-        return NextSet(base, max_len, (), ())
-    base_len = len(base)
-    if base_len == max_len:  # the base itself sits at the cap, unexplored
-        return NextSet(base, max_len, (), (base,))
-
     tree = SharedEertree()
     push = tree.push
     pop = tree.pop
@@ -231,7 +221,11 @@ def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
         return val
 
     for c in base:
-        grow(c)
+        if grow(c) > 2:  # a prefix of the base already needs three factors
+            return NextSet(base, max_len, (), ())
+    base_len = len(base)
+    if base_len == max_len:  # the base itself sits at the cap, unexplored
+        return NextSet(base, max_len, (), (base,))
 
     members: list[Word] = []
     opens: list[Word] = []
@@ -333,18 +327,6 @@ class ItemVerdict:
     open_count: int
     status: str  # "pass" | "fail"
     counterexample: Optional[str] = None
-
-    def to_json(self) -> dict:
-        return {
-            "item": self.item,
-            "params": dict(self.params),
-            "base": str(self.base),
-            "expected": [str(w) for w in self.expected],
-            "observed": [str(w) for w in self.observed],
-            "open_branches": self.open_count,
-            "status": self.status,
-            **({"counterexample": self.counterexample} if self.counterexample else {}),
-        }
 
 
 def _family_members(item: int, i: int, j: int, k: int, alpha: int, cap: int) -> list[Word]:

@@ -27,11 +27,15 @@ SCHEMA_VERSION = 1
 
 def _emit(text: str | list[str], out_path: str | None) -> None:
     """Write ``text``, or the pieces of a JSON document in order, to
-    ``out_path`` or stdout."""
+    ``out_path`` or stdout.  A file that cannot be written is a usage error
+    (exit 2), not a failed claim."""
     pieces = [text] if isinstance(text, str) else text
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.writelines(pieces)
 

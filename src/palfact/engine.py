@@ -44,15 +44,20 @@ class GapSequence:
         return None
 
 
-def palindromic_prefixes(stream, horizon: int) -> PalindromicPrefixSeq:
-    """Complete sorted list of palindromic-prefix lengths up to the horizon.
+def palindromic_prefix_lengths(lps: Sequence[int]) -> tuple[int, ...]:
+    """Sorted lengths of the palindromic prefixes of the word behind ``lps``.
 
     A prefix of length n is a palindrome exactly when its longest
-    palindromic suffix is the whole prefix, so one index pass suffices.
+    palindromic suffix is the whole prefix, so any index's ``lps`` array
+    holds the answer.
     """
+    return tuple(n for n, v in enumerate(lps, 1) if v == n)
+
+
+def palindromic_prefixes(stream, horizon: int) -> PalindromicPrefixSeq:
+    """Complete sorted list of palindromic-prefix lengths up to the horizon."""
     w = materialize(stream, horizon)
-    lps = PalindromeIndex(w).lps
-    lengths = tuple(i + 1 for i, v in enumerate(lps) if v == i + 1)
+    lengths = palindromic_prefix_lengths(PalindromeIndex(w).lps)
     return PalindromicPrefixSeq(spec_of(stream), len(w), lengths)
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import oracles
 from .analysis import (
+    EMPTY_ITEMS,
     alphabet_bound_check,
     bound_report,
     classify_bound2,
@@ -24,7 +25,8 @@ from .analysis import (
     verify_next_closed_forms,
 )
 from .eertree import PalindromeIndex, SharedEertree
-from .engine import gap_sequence, palindromic_prefixes, product_of_two_palindromes
+from .engine import (gap_sequence, palindromic_prefix_lengths, palindromic_prefixes,
+                     product_of_two_palindromes)
 from .errors import SearchCapExceeded
 from .greedy import gap_witness, lgpal, rgpal
 from .pallen import pal_dp, pal_fast
@@ -155,8 +157,7 @@ def verify_u_suffixes(
     base = stream.prefix(horizon + max(offsets))
     for s in offsets:
         seg = base[s : s + horizon]
-        lps = PalindromeIndex(seg).lps
-        pp = [i + 1 for i, v in enumerate(lps) if v == i + 1]
+        pp = palindromic_prefix_lengths(PalindromeIndex(seg).lps)
         last_nonpos = 0
         for length, delta in _delta_scan(seg):
             if delta <= 0:
@@ -465,7 +466,7 @@ def next_sets_suite(i_max: int = 4, j_max: int = 4, k_max: int = 4,
                 f"choices)", "all match", observed
             )
         )
-    empties = [v for v in verdicts if v.item in (2, 3, 5)]
+    empties = [v for v in verdicts if v.item in EMPTY_ITEMS]
     open_total = sum(v.open_count for v in empties)
     result.claims.append(
         _eq_claim("empty-set items exhaust with zero open branches", 0, open_total)
@@ -490,17 +491,19 @@ def bound2_suite(horizon: int = 1000) -> ExperimentResult:
         ("(abac)^w", Periodic(Word("abac")), 3),
         ("(ababa)^w", Periodic(Word("ababa")), 2),
     ]
+    reports = {}  # label -> (stream, report); the classifications reuse them
     for label, stream, expect in cases:
         rep = bound_report(stream, horizon, 100)
+        reports[label] = stream, rep
         result.claims.append(
             _eq_claim(f"prefix maximum of {label} at horizon {horizon}",
                       expect, rep.prefix_max)
         )
-    rep = bound_report(Periodic(Word("ababa")), horizon, 100)
+    stream, rep = reports["(ababa)^w"]
     result.claims.append(
         _eq_claim("windowed factor maximum of (ababa)^w", 3, rep.factor_max)
     )
-    cls = classify_bound2(Periodic(Word("ababa")), horizon)
+    cls = classify_bound2(stream, horizon, report=rep)
     result.claims.append(
         _eq_claim("classification of (ababa)^w", "((ab)^i a)^w i=2",
                   f"{cls.family} i={cls.params.get('i')}")
@@ -510,7 +513,8 @@ def bound2_suite(horizon: int = 1000) -> ExperimentResult:
         _eq_claim("classification of a(baa)^w", "(a^i b a^j)^w with isolated-b "
                   "form (1, 2)", f"{cls.family} with isolated-b form {cls.bplf2}")
     )
-    cls = classify_bound2(Periodic(Word("abba")), horizon)
+    stream, rep = reports["(abba)^w"]
+    cls = classify_bound2(stream, horizon, report=rep)
     result.claims.append(
         _eq_claim("classification of (abba)^w", "no closed form",
                   "no closed form" if cls.family is None else cls.family)

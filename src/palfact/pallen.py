@@ -219,15 +219,18 @@ def first_attainment(stream, k_max: int, horizon: int) -> dict[int, int | None]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    w = materialize(stream, horizon)
-    idx = PalindromeIndex(w, track_min=True)
-    dp = idx.min_factors
-    out: dict[int, int | None] = {k: None for k in range(1, k_max + 1)}
+    dp = PalindromeIndex(materialize(stream, horizon), track_min=True).min_factors
+    return _first_hits(dp[1:], k_max)
+
+
+def _first_hits(counts: Sequence[int], k_max: int) -> dict[int, int | None]:
+    """m(k) for 1 <= k <= k_max from the minimum factor counts of the
+    prefixes of length 1, 2, ... in order; shared with ``build_profile``."""
+    out: dict[int, int | None] = dict.fromkeys(range(1, k_max + 1))
     remaining = k_max
-    for i in range(1, len(dp)):
-        v = dp[i]
+    for n, v in enumerate(counts, 1):
         if v <= k_max and out[v] is None:
-            out[v] = i
+            out[v] = n
             remaining -= 1
             if not remaining:
                 break

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from .eertree import PalindromeIndex
 from .greedy import running_max, right_greedy_counts
+from .pallen import _first_hits
 from .streams import materialize, spec_of
 
 
@@ -74,13 +75,6 @@ def build_profile(stream, horizon: int) -> PrefixProfile:
     lg = idx.left_greedy_counts()
     del idx
     max_pal = running_max(pal)
-    first: dict[int, int | None] = {}
-    top = max_pal[-1] if max_pal else 0
-    for k in range(1, top + 1):
-        first[k] = None
-    for i, v in enumerate(pal):
-        if first.get(v) is None:
-            first[v] = i + 1
     return PrefixProfile(
         word_spec=spec_of(stream),
         pal=pal,
@@ -89,5 +83,5 @@ def build_profile(stream, horizon: int) -> PrefixProfile:
         max_pal=max_pal,
         max_lgpal=running_max(lg),
         max_rgpal=running_max(rg),
-        first_attainment=first,
+        first_attainment=_first_hits(pal, max_pal[-1] if max_pal else 0),
     )

@@ -18,8 +18,9 @@ from palfact import (
     verify_next_closed_forms,
 )
 from palfact.analysis import validate_next_member
+from palfact.eertree import PalindromeIndex
 from palfact.oracles import brute_pal_table
-from palfact.streams import closure_power_stream, multibonacci_stream
+from palfact.streams import closure_power_stream, materialize, multibonacci_stream, parse_spec
 
 
 def w(text):
@@ -119,6 +120,78 @@ def test_alphabet_bound_check():
     assert alphabet_bound_check(Periodic(w("ab")), 500) == "pass"
     assert alphabet_bound_check(Periodic(w("abac")), 500) == "inapplicable"
     assert alphabet_bound_check(Periodic(w("a")), 500) == "pass"
+
+
+def bound2_suite_streams():
+    """The streams of the bound2 verify suite, closed-family instances
+    included, plus three that the suite does not use."""
+    streams = [EventuallyPeriodic(w("a"), w("abba")), Periodic(w("abba")),
+               Periodic(w("abac")), Periodic(w("ababa")),
+               EventuallyPeriodic(w("a"), w("baa")), Periodic(w("ab")), Periodic(w("a"))]
+    for i in range(1, 5):
+        for j in range(1, 5):
+            streams.append(Periodic(w("a") * i + w("b") + w("a") * j))
+            streams.append(Periodic(w("a") * i + w("b") * j))
+    for i in range(2, 5):
+        streams.append(Periodic(w("ab") * i + w("a")))
+    return streams + [parse_spec(s) for s in ("fib", "U", "periodic:abc")]
+
+
+def test_alphabet_bound_check_is_the_bound_report_rule():
+    verdicts = set()
+    for stream in bound2_suite_streams():
+        rule = bound_report(stream, 1000, 100).verdicts["bounded_by_2_implies_binary"]
+        assert alphabet_bound_check(stream, 1000) == rule, stream
+        verdicts.add(rule)
+    assert verdicts == {"pass", "inapplicable"}
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Counts PalindromeIndex constructions from the moment it is requested."""
+    builds = []
+    init = PalindromeIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PalindromeIndex, "__init__", counting)
+    return builds
+
+
+def test_bound_layer_builds_one_index_per_word(index_builds):
+    rng = random.Random(5)
+    cases = [(parse_spec("fib"), 300, 30), (Periodic(w("ababa")), 400, 50),
+             (Word([rng.randrange(3) for _ in range(120)]), 120, 12)]
+    for stream, horizon, window in cases:
+        t = tuple(materialize(stream, horizon))
+        windows = {t[i : i + window] for i in range(len(t))}
+        del index_builds[:]
+        bound_report(stream, horizon, window)
+        assert len(index_builds) == 1 + len(windows)
+        del index_builds[:]
+        alphabet_bound_check(stream, horizon)
+        assert len(index_builds) == 1
+
+
+def test_enumerate_next_builds_no_index(index_builds):
+    for base, cap in [("aab", 24), ("ab", 32), ("abbab", 20), ("abaab", 5), ("a", 1)]:
+        enumerate_next(w(base), cap)
+    assert index_builds == []
+
+
+def test_enumerate_next_base_needing_three_factors_is_empty():
+    # the search checks the base on its own branch; the oracle checks it here
+    barren = 0
+    for n in range(1, 10):
+        for bits in range(2**n):
+            base = [(bits >> i) & 1 for i in range(n)]
+            if max(brute_pal_table(base)) > 2:
+                barren += 1
+                ns = enumerate_next(base, n + 6)
+                assert (ns.palindromes, ns.open_branches) == ((), ()), base
+    assert barren > 100
 
 
 # ---------------------------------------------------------------- next sets

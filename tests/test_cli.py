@@ -225,6 +225,26 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().startswith("n,pal,")
 
 
+@pytest.mark.parametrize("argv", [
+    ("len", "lit:ab"),
+    ("decompose", "lit:abab"),
+    ("profile", "fib", "--horizon", "20"),
+    ("bounds", "periodic:ab", "--horizon", "50", "--window", "10"),
+    ("next", "lit:ab", "--max-len", "8"),
+    ("verify", "lps"),
+    ("experiments", "occdiff"),
+    ("experiments", "occdiff", "--format", "json"),
+])
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
+    # this used to print a traceback and exit 1, the failed-claim code
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    reason = "Is a directory" if where == "directory" else "No such file or directory"
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: {reason}\n"
+
+
 def test_cap_override(capsys):
     code, _, err = run_cli(capsys, "profile", "fib", "--horizon", "200",
                            "--cap", "100")

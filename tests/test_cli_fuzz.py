@@ -5,9 +5,13 @@ Whatever the arguments, ``palfact`` must exit 0, or exit 2 with an
 exception may escape ``main``.
 """
 
+import os
 import random
 
 from palfact.cli import main
+
+# a directory, so any --out that reaches it cannot be written
+OUT_DIR = os.path.dirname(os.path.abspath(__file__))
 
 SUITES = ("occdiff", "multibonacci", "floors", "uword", "ladder", "nextsets")
 FIXED_SPECS = (
@@ -48,6 +52,13 @@ def option(rng: random.Random, name: str) -> list[str]:
 
 
 def random_argv(rng: random.Random) -> list[str]:
+    argv = command_argv(rng)
+    if rng.random() < 0.1:
+        argv += ["--out", OUT_DIR]
+    return argv
+
+
+def command_argv(rng: random.Random) -> list[str]:
     command = rng.choice(("len", "decompose", "profile", "bounds", "next",
                           "verify", "experiments"))
     fmt = ["--format", rng.choice(("text", "csv", "json"))] if rng.random() < 0.8 else []
@@ -83,8 +94,10 @@ def run(capsys, argv):
 def test_cli_fuzz_exits_cleanly(capsys):
     rng = random.Random(20261018)
     problems = []
+    out_runs = 0
     for _ in range(400):
         argv = random_argv(rng)
+        out_runs += "--out" in argv
         try:
             code, err = run(capsys, argv)
         except Exception as exc:  # noqa: BLE001 - report every escape
@@ -95,3 +108,4 @@ def test_cli_fuzz_exits_cleanly(capsys):
         elif code == 2 and "error:" not in err:
             problems.append(f"{argv}: exit 2 without an error line: {err!r}")
     assert not problems, "\n".join(problems)
+    assert out_runs >= 20

@@ -3,7 +3,10 @@ definitions."""
 
 import random
 
-from palfact.oracles import brute_pal_table, brute_palindromic_spans
+from palfact.eertree import PalindromeIndex
+from palfact.engine import palindromic_prefix_lengths
+from palfact.oracles import (brute_pal_table, brute_palindromic_prefix_lengths,
+                             brute_palindromic_spans)
 
 
 def cut_scan_pal_table(w):
@@ -61,3 +64,12 @@ def test_palindromic_spans_equal_slice_scan():
                     if w[i:j] == w[i:j][::-1]}
         assert len(spans) == len(set(spans))
         assert set(spans) == expected, w
+
+
+def test_palindromic_prefix_lengths_equal_brute_scan():
+    words = list(binary_words(12))
+    seeded = list(seeded_words(300))
+    assert any(len(set(w)) == 4 for w in seeded)
+    for w in words + seeded:
+        lengths = palindromic_prefix_lengths(PalindromeIndex(w).lps)
+        assert list(lengths) == brute_palindromic_prefix_lengths(w), w

@@ -7,6 +7,7 @@ from palfact import (
     Decomposition,
     Periodic,
     Word,
+    build_profile,
     fibonacci_stream,
     first_attainment,
     is_palindrome,
@@ -17,7 +18,7 @@ from palfact import (
 )
 import palfact.pallen
 from palfact.oracles import brute_pal_table
-from palfact.streams import multibonacci, u_ladder
+from palfact.streams import multibonacci, parse_spec, u_ladder
 
 
 def all_binary_words(max_len):
@@ -288,6 +289,22 @@ def test_first_attainment_unary_and_alternating():
     assert m == {1: 1, 2: None, 3: None}
     m = first_attainment(Periodic(Word("ab")), 3, 10**4)
     assert m == {1: 1, 2: 2, 3: None}
+
+
+@pytest.mark.parametrize("spec, horizon", [
+    ("fib", 2000), ("U", 2000), ("mbstream", 2000), ("random", 1500),
+])
+def test_profile_first_attainment_is_first_attainment(spec, horizon):
+    if spec == "random":
+        rng = random.Random(8)
+        source = Word([rng.randrange(3) for _ in range(horizon)])
+    else:
+        source = parse_spec(spec)
+    prof = build_profile(source, horizon)
+    top = max(prof.pal)
+    assert top >= 4
+    assert prof.first_attainment == first_attainment(source, top, horizon)
+    assert list(prof.first_attainment) == list(range(1, top + 1))
 
 
 def test_pal_prefix_table_csv():
