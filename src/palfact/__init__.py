@@ -77,7 +77,6 @@ from .streams import (
     InfiniteWord,
     MorphismFixedPoint,
     Periodic,
-    Prepend,
     closure_power_stream,
     fibonacci_stream,
     multibonacci,

@@ -349,12 +349,17 @@ def cmd_experiments(args) -> int:
     return 1 if failed else 0
 
 
-def _add_common(sp, horizon_default=None, formats=("text", "csv", "json")):
+def _add_output(sp, formats):
     # every command lists all three formats, so help and usage keep one
     # shape; main rejects those the command cannot render
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sp.set_defaults(formats=formats)
     sp.add_argument("--out", default=None, help="write output to a file")
+
+
+def _add_common(sp, horizon_default=None, formats=("text", "csv", "json")):
+    """Options of the commands that read a word."""
+    _add_output(sp, formats)
     sp.add_argument("--cap", type=int, default=None,
                     help="override the materialization cap")
     if horizon_default is not None:
@@ -416,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-identical "
                          "reruns)")
-    _add_common(sp, formats=_TEXT_JSON)
+    _add_output(sp, _TEXT_JSON)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("experiments", help="run the named experiments and "
@@ -427,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-identical "
                          "reruns)")
-    _add_common(sp, formats=_TEXT_JSON)
+    _add_output(sp, _TEXT_JSON)
     sp.set_defaults(func=cmd_experiments)
 
     return parser

@@ -1,15 +1,18 @@
 """Infinite words as memoized prefix streams, plus the named finite families.
 
-Every stream materializes into a single growable buffer: ``prefix(n)`` is
-idempotent and monotone (the length-n prefix is always a prefix of the
-length-m prefix for n <= m) because symbols are appended exactly once.  A
-global cap (default 10**8 symbols, overridable per stream) turns runaway
-materialization into a loud ``CapExceeded`` instead of memory exhaustion.
+Every stream materializes into a single buffer that holds exactly the
+longest prefix asked for: ``prefix(n)`` draws the missing symbols from the
+stream's symbol iterator and nothing more.  It is idempotent and monotone
+(the length-n prefix is always a prefix of the length-m prefix for n <= m)
+because symbols are appended exactly once.  A global cap (default 10**8
+symbols, overridable per stream) turns runaway materialization into a loud
+``CapExceeded`` instead of memory exhaustion.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import chain, count, cycle, islice
 from typing import Callable, Sequence
 
 from .errors import CapExceeded, ParseError
@@ -43,8 +46,13 @@ streams (infinite words):
 class InfiniteWord:
     """Prefix-on-demand stream with one growable buffer.
 
-    Buffer extension happens under a lock; already-materialized symbols are
-    never rewritten, so concurrent readers of shorter prefixes are safe.
+    Each subclass only says what its symbols are: it sets ``_source``, an
+    iterator over the word, and ``name``, its report label.  ``prefix`` is
+    the one place that draws from the source, under a lock and exactly as
+    many symbols as the buffer lacks, so the buffer holds exactly the
+    longest prefix asked for.  A source may read the buffer, because
+    ``list.extend`` appends each symbol before it draws the next.  Symbols
+    are never rewritten, so concurrent readers of shorter prefixes are safe.
     """
 
     def __init__(self, cap: int | None = None):
@@ -53,7 +61,7 @@ class InfiniteWord:
         self.cap = DEFAULT_CAP if cap is None else cap
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        return self.name
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.spec_string()}>"
@@ -63,14 +71,15 @@ class InfiniteWord:
             raise ValueError("prefix length must be >= 0")
         if n > self.cap:
             raise CapExceeded(f"prefix({n}) exceeds the cap of {self.cap} symbols")
-        if len(self._buf) < n:
+        buf = self._buf
+        if len(buf) < n:
             with self._lock:
-                while len(self._buf) < n:
-                    self._extend(n)
-        return Word(self._buf[:n])
-
-    def _extend(self, n: int) -> None:
-        raise NotImplementedError
+                # another reader may have grown the buffer while this one waited
+                buf.extend(islice(self._source, max(n - len(buf), 0)))
+                if len(buf) < n:  # only a morphism's source can run dry
+                    raise ValueError(f"the fixed point of {self.spec_string()} is "
+                                     f"finite: it has {len(buf)} symbols")
+        return Word(buf[:n])
 
 
 class Periodic(InfiniteWord):
@@ -79,49 +88,25 @@ class Periodic(InfiniteWord):
     def __init__(self, period: Sequence[int], cap: int | None = None, name: str | None = None):
         super().__init__(cap)
         self.period = Word(period)
-        self.name = name
         if not self.period:
             raise ValueError("period must be nonempty")
-
-    def spec_string(self) -> str:
-        return self.name or f"periodic:{self.period}"
-
-    def _extend(self, n: int) -> None:
-        buf = self._buf
-        p = self.period
-        while len(buf) < n:
-            buf.extend(p)
+        self.name = name or f"periodic:{self.period}"
+        self._source = cycle(self.period)
 
 
-class Prepend(InfiniteWord):
-    """A finite word followed by another stream."""
+class EventuallyPeriodic(InfiniteWord):
+    """u v v v ...
 
-    def __init__(self, head: Sequence[int], tail: InfiniteWord, cap: int | None = None):
-        super().__init__(cap)
-        self.head = Word(head)
-        self.tail = tail
-
-    def spec_string(self) -> str:
-        return f"pre:{self.head}|{self.tail.spec_string()}"
-
-    def _extend(self, n: int) -> None:
-        buf = self._buf
-        if len(buf) < len(self.head):
-            buf.extend(self.head[len(buf) :])
-        if len(buf) < n:
-            need = n - len(self.head)
-            buf.extend(self.tail.prefix(need)[len(buf) - len(self.head) :])
-
-
-class EventuallyPeriodic(Prepend):
-    """u v v v ..."""
+    Not a ``Periodic``: callers read that class as "purely periodic"."""
 
     def __init__(self, head: Sequence[int], period: Sequence[int], cap: int | None = None):
-        super().__init__(head, Periodic(period), cap)
+        super().__init__(cap)
+        self.head = Word(head)
         self.period = Word(period)
-
-    def spec_string(self) -> str:
-        return f"evper:{self.head}|{self.period}"
+        if not self.period:
+            raise ValueError("period must be nonempty")
+        self.name = f"evper:{self.head}|{self.period}"
+        self._source = chain(self.head, cycle(self.period))
 
 
 class MorphismFixedPoint(InfiniteWord):
@@ -131,7 +116,6 @@ class MorphismFixedPoint(InfiniteWord):
         super().__init__(cap)
         self.rules = {k: tuple(v) for k, v in rules.items()}
         self.seed = seed
-        self.name = name
         img = self.rules.get(seed)
         if img is None or len(img) < 2 or img[0] != seed:
             raise ValueError(
@@ -148,23 +132,15 @@ class MorphismFixedPoint(InfiniteWord):
                 if t not in reachable:
                     reachable.add(t)
                     frontier.append(t)
-        self._ptr = 0
-
-    def spec_string(self) -> str:
-        if self.name:
-            return self.name
-        rules = ",".join(f"{Word((k,))}>{Word(v)}" for k, v in sorted(self.rules.items()))
-        return f"morphism:{rules}@{Word((self.seed,))}"
-
-    def _extend(self, n: int) -> None:
-        buf = self._buf
-        rules = self.rules
-        if not buf:
-            buf.extend(rules[self.seed])
-            self._ptr = 1
-        while len(buf) < n:
-            buf.extend(rules[buf[self._ptr]])
-            self._ptr += 1
+        # the seed's image, then the image of each buffered symbol from
+        # position 1 on; the read position catches up with the buffer, and
+        # the source ends, only if the fixed point is finite
+        images = map(self.rules.__getitem__, islice(self._buf, 1, None))
+        self._source = chain(img, chain.from_iterable(images))
+        if not name:
+            rules = ",".join(f"{Word((k,))}>{Word(v)}" for k, v in sorted(self.rules.items()))
+            name = f"morphism:{rules}@{Word((seed,))}"
+        self.name = name
 
 
 def fibonacci_stream(cap: int | None = None) -> MorphismFixedPoint:
@@ -173,8 +149,8 @@ def fibonacci_stream(cap: int | None = None) -> MorphismFixedPoint:
 
 
 class LevelStream(InfiniteWord):
-    """Stream built by repeatedly replacing the buffer with a longer word
-    that keeps the current buffer as a prefix."""
+    """Limit of the levels w_0 = first, w_{k+1} = step(w_k, k), where each
+    level is a prefix of the next."""
 
     def __init__(
         self,
@@ -184,17 +160,12 @@ class LevelStream(InfiniteWord):
         cap: int | None = None,
     ):
         super().__init__(cap)
-        self._buf = list(first)
-        self._step = step
-        self._level = 0
-        self._name = name
-
-    def spec_string(self) -> str:
-        return self._name
-
-    def _extend(self, n: int) -> None:
-        self._buf = self._step(self._buf, self._level)
-        self._level += 1
+        self.name = name
+        buf = self._buf
+        # level k + 1's new part is drawn once level k is used up, when the
+        # buffer holds exactly level k
+        parts = map(lambda k: step(buf, k)[len(buf) :], count())
+        self._source = chain(tuple(first), chain.from_iterable(parts))
 
 
 def word_u_stream(cap: int | None = None) -> LevelStream:
@@ -293,12 +264,20 @@ def _parse_word_text(text: str, token: str) -> Word:
 def parse_spec(text: str, cap: int | None = None):
     """Parse a word/stream specification; see ``DSL_GRAMMAR``.
 
-    Returns a ``Word`` for finite forms and an ``InfiniteWord`` for streams.
-    Raises ``ParseError`` naming the offending token.
+    Returns a ``Word`` for finite forms and an ``InfiniteWord`` for streams,
+    labelled with the stripped spec.  Raises ``ParseError`` naming the
+    offending token.
     """
     token = text.strip()
     if not token:
         raise ParseError("empty word specification", token=text)
+    source = _parse_token(token, cap)
+    if isinstance(source, InfiniteWord):
+        source.name = token
+    return source
+
+
+def _parse_token(token: str, cap: int | None):
     if token == "fib":
         return fibonacci_stream(cap)
     if token == "U":

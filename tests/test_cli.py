@@ -252,6 +252,35 @@ def test_cap_override(capsys):
     assert "cap" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["verify", "experiments"])
+def test_cap_is_offered_only_where_a_word_is_read(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "occdiff", "--cap", "3"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("profile", "morphism:a>ab,b>@a", "--horizon", "5"),
+    ("bounds", "morphism:a>ab,b>@a", "--horizon", "5", "--window", "2"),
+])
+def test_finite_fixed_point_is_a_usage_error(capsys, argv):
+    # this used to print an IndexError traceback and exit 1
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: the fixed point of morphism:a>ab,b>@a is finite: "
+               "it has 2 symbols\n")
+
+
+@pytest.mark.parametrize("spec", ["periodic:bc", "evper:b|bc", "morphism:a>ab,b>ba@a",
+                                  "fib", "U", "mbstream", "uladderper:2"])
+def test_profile_labels_the_spec_as_given(capsys, spec):
+    # symbols b, c used to print as digits: periodic:12, evper:1|12
+    code, out, _ = run_cli(capsys, "profile", f" {spec} ", "--horizon", "20",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["word"] == spec
+
+
 # SHA-256 of `profile <spec> --horizon 3000 --format <fmt>` as first released;
 # the per-prefix arrays and their layout must not change with the algorithms.
 PROFILE_DIGESTS = {
@@ -526,9 +555,9 @@ HELP_DIGESTS = [
     (("next", "--help"), 0,
      "8ba0a1cbb53b324a2161e6503f3b47e72a7a0b94f53b4266a1645410d427c602"),
     (("verify", "--help"), 0,
-     "c52b3a8e4bbc5dfa3b86fc1a1255424243653e65b82542c07813f14c4b0b2f50"),
+     "9e83aee2c008ae484271d0479abcf8ae880c1db34f5de962028c13f05c83d72d"),
     (("experiments", "--help"), 0,
-     "fe93ea1658b62a90971604a0e90c48326d2561ab49dcb716ecda4bb7c49947ba"),
+     "b94ebc401a19e3935461acaa988d2ac39bb420d0da6076b34cdddcc5ff75a12a"),
     ((), 2, "0b12ddee4f222f8535c3ce1498b0d189b951336c7fa97ccc5945799324fb918a"),
     (("foo",), 2,
      "66066eb45912aef49bea50518ced31d8970159b14df4109c28252063925aa4e9"),

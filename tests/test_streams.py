@@ -20,6 +20,18 @@ from palfact import (
     word_u_stream,
 )
 
+ALL_KINDS = {
+    "periodic": lambda: Periodic(Word("abba")),
+    "evper": lambda: EventuallyPeriodic(Word("ab"), Word("abba")),
+    "morphism": fibonacci_stream,
+    "erasing morphism": lambda: parse_spec("morphism:a>abc,b>,c>a@a"),
+    "U": word_u_stream,
+    "mbstream": multibonacci_stream,
+    "closurepow": closure_power_stream,
+    "uladderper": lambda: u_ladder_periodic(3),
+}
+
+
 def test_periodic_prefix_exactness():
     v = Word("abba")
     stream = Periodic(v)
@@ -182,6 +194,36 @@ def test_concurrent_prefix_reads():
         assert got == full[:n]
 
 
+def test_threads_drawing_at_once_share_one_exact_buffer():
+    import random
+    import sys
+    import threading
+
+    sizes = random.Random(7).sample(range(1, 6000), 48)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for kind in sorted(ALL_KINDS):
+            stream, got = ALL_KINDS[kind](), {}
+
+            def reader(chunk):
+                for n in chunk:
+                    got[n] = stream.prefix(n)
+
+            threads = [threading.Thread(target=reader, args=(sizes[i::8],)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            full = ALL_KINDS[kind]().prefix(max(sizes))
+            assert len(got) == len(sizes)
+            assert all(w == full[:n] for n, w in got.items()), kind
+            assert len(stream._buf) == max(sizes), kind
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_materialize_rejects_a_negative_horizon_on_words_and_streams():
     from palfact.streams import materialize
 
@@ -190,3 +232,63 @@ def test_materialize_rejects_a_negative_horizon_on_words_and_streams():
     for source in (Word("abaab"), fibonacci_stream()):
         with pytest.raises(ValueError, match="prefix length"):
             materialize(source, -2)
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+def test_buffer_holds_exactly_the_longest_prefix_asked_for(kind):
+    stream = ALL_KINDS[kind]()
+    longest = 0
+    for n in (0, 7, 3, 30000, 100, 30001, 29999, 30002):
+        longest = max(longest, n)
+        assert len(stream.prefix(n)) == n
+        assert len(stream._buf) == longest
+
+
+def test_word_u_prefixes_are_its_components():
+    stream = word_u_stream()
+    for n in (6, 0, 3, 1, 5, 2, 4):
+        u, _ = word_u_component(n)
+        assert stream.prefix(len(u)) == u
+    u6 = word_u_component(6)[0]
+    assert stream.prefix(1000) == u6[:1000]
+
+
+def test_thue_morse_is_popcount_parity():
+    stream = parse_spec("morphism:a>ab,b>ba@a")
+    assert stream.prefix(5000) == Word(bin(i).count("1") % 2 for i in range(5000))
+
+
+def test_closure_power_stream_follows_its_recurrence():
+    p, k = [0, 1, 0], 0
+    while len(p) < 3000:
+        p, k = p + [0] * k + p, k + 1
+    stream = closure_power_stream()
+    for n in (50, 3000, 13, 2999):
+        assert stream.prefix(n) == Word(p[:n])
+
+
+def test_eventually_periodic_is_head_then_period_powers():
+    for u, v in (("", "ab"), ("b", "bc"), ("aab", "a"), ("ba", "abba")):
+        stream = parse_spec(f"evper:{u}|{v}")
+        for k in (5, 0, 3, 40):
+            n = len(u) + k * len(v)
+            assert stream.prefix(n) == Word(u) + Word(v) * k
+
+
+def test_erasing_morphism_with_an_infinite_fixed_point():
+    # a -> abc, b -> (empty), c -> a; the iterates of a are nested prefixes
+    rules = {"a": "abc", "b": "", "c": "a"}
+    w = "a"
+    while len(w) < 2000:
+        w = "".join(rules[ch] for ch in w)
+    assert parse_spec("morphism:a>abc,b>,c>a@a").prefix(2000) == Word(w[:2000])
+
+
+def test_finite_fixed_point_is_reported_with_its_length():
+    stream = parse_spec("morphism:a>ab,b>@a")
+    assert stream.prefix(2) == Word("ab")
+    for _ in range(2):  # the dry source keeps reporting, it never pads
+        with pytest.raises(ValueError, match="fixed point of morphism:a>ab,b>@a "
+                                             "is finite: it has 2 symbols"):
+            stream.prefix(3)
+    assert stream.prefix(1) == Word("a")
