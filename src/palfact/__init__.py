@@ -18,11 +18,7 @@ from .analysis import (
     reachable_sets,
     verify_next_closed_forms,
 )
-from .eertree import (
-    PalindromeIndex,
-    longest_palindromic_prefix,
-    longest_palindromic_suffix,
-)
+from .eertree import PalindromeIndex
 from .engine import (
     GapSequence,
     PalindromicPrefixSeq,
@@ -52,7 +48,6 @@ from .experiments import (
     prefix_floor_witness,
 )
 from .greedy import (
-    GreedyDecomposition,
     GreedyProfile,
     gap_witness,
     greedy_profile,
@@ -62,7 +57,6 @@ from .greedy import (
     rgpal_profile,
 )
 from .pallen import (
-    Decomposition,
     MinimalFactorizations,
     PalPrefixTable,
     first_attainment,
@@ -88,6 +82,7 @@ from .streams import (
     word_u_stream,
 )
 from .words import (
+    Decomposition,
     Word,
     count_occurrences,
     is_palindrome,

@@ -16,7 +16,7 @@ from operator import is_
 from .analysis import bound_report, classify_bound2, enumerate_next
 from .errors import AmbiguousHorizon, CapExceeded, ParseError, SearchCapExceeded
 from .experiments import EXPERIMENTS, SUITES, run_suites
-from .greedy import gap_witness, lgpal, rgpal
+from .greedy import gap_witness
 from .pallen import minimal_factorizations
 from .profiles import build_profile
 from .streams import DSL_GRAMMAR, InfiniteWord, parse_spec
@@ -184,27 +184,27 @@ def cmd_len(args) -> int:
 def cmd_decompose(args) -> int:
     w = _need_finite(args.word, args.cap)
     facts = minimal_factorizations(w, args.limit)
-    lg, ldec = lgpal(w)
-    rg, rdec = rgpal(w)
+    left, right = facts.left_greedy, facts.right_greedy
     if args.format == "json":
         _emit(
             _json_doc({
                 "command": "decompose",
                 "word": str(w),
                 "minimal": facts.to_json(),
-                "left_greedy": ldec.to_json(),
-                "right_greedy": rdec.to_json(),
+                "left_greedy": {"side": "left", "spans": left.spans},
+                "right_greedy": {"side": "right", "spans": right.spans},
             }),
             args.out,
         )
     else:
         text = _SpanText(w)
-        lines = [f"word: {w}", f"pal={facts.count} lgpal={lg} rgpal={rg}",
+        lines = [f"word: {w}",
+                 f"pal={facts.count} lgpal={len(left)} rgpal={len(right)}",
                  f"minimal decompositions ({len(facts)}"
                  f"{', truncated' if facts.truncated else ''}):"]
         lines.extend("  " + text.line(dec.spans) for dec in facts)
-        lines.append("left greedy:  " + text.line(ldec.spans))
-        lines.append("right greedy: " + text.line(rdec.spans))
+        lines.append("left greedy:  " + text.line(left.spans))
+        lines.append("right greedy: " + text.line(right.spans))
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

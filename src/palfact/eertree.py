@@ -319,20 +319,3 @@ class SharedEertree:
         self.word.pop()
         self.nodes.pop()
         self.dp.pop()
-
-
-def longest_palindromic_suffix(w: Sequence[int]) -> int:
-    """Length of the longest palindromic suffix of a nonempty word."""
-    if not w:
-        raise ValueError("empty word has no palindromic suffix")
-    return PalindromeIndex(w).lps[-1]
-
-
-def longest_palindromic_prefix(w: Sequence[int]) -> int:
-    """Length of the longest palindromic prefix of a nonempty word.
-
-    Computed as the longest palindromic suffix of the reversal.
-    """
-    if not w:
-        raise ValueError("empty word has no palindromic prefix")
-    return PalindromeIndex(list(reversed(w))).lps[-1]

@@ -28,7 +28,7 @@ from .eertree import PalindromeIndex, SharedEertree
 from .engine import (gap_sequence, palindromic_prefix_lengths, palindromic_prefixes,
                      product_of_two_palindromes)
 from .errors import SearchCapExceeded
-from .greedy import gap_witness, lgpal, rgpal
+from .greedy import gap_witness, lgpal, lgpal_profile, rgpal
 from .pallen import pal_dp, pal_fast
 from .streams import (
     EventuallyPeriodic,
@@ -745,12 +745,6 @@ def lps_suite(seed: int = 0) -> ExperimentResult:
     return result
 
 
-def _forward_lgpal(w: Sequence[int]) -> int:
-    """Left-greedy count by the forward series-link walk, which shares no
-    step with ``gap_witness``'s right-greedy pass over the reversal."""
-    return PalindromeIndex(w).left_greedy_counts()[-1] if w else 0
-
-
 def greedy_suite(seed: int = 0) -> ExperimentResult:
     result = ExperimentResult("greedy", {"seed": seed})
     bad_floor = bad_dual = bad_greedy = 0
@@ -762,7 +756,9 @@ def greedy_suite(seed: int = 0) -> ExperimentResult:
                 bad_floor += 1
             if lg != oracles.brute_lgpal(w) or rg != oracles.brute_rgpal(w):
                 bad_greedy += 1
-            if lg != _forward_lgpal(w):
+            # the forward series-link walk shares no step with gap_witness's
+            # right-greedy pass over the reversal
+            if lg != (lgpal_profile(w)[-1] if w else 0):
                 bad_dual += 1
     result.claims.append(
         _eq_claim("minimum <= both greedy counts on all binary words up to "
@@ -779,7 +775,7 @@ def greedy_suite(seed: int = 0) -> ExperimentResult:
     for _ in range(200):
         w = _random_word(rng, 250, rng.choice((2, 3, 4)))
         p, lg, rg = gap_witness(w)
-        if p > min(lg, rg) or lg != _forward_lgpal(w):
+        if p > min(lg, rg) or lg != (lgpal_profile(w)[-1] if w else 0):
             bad += 1
     result.claims.append(
         _eq_claim("same properties on 200 random words up to length 250", 0, bad)

@@ -17,25 +17,7 @@ from typing import Sequence
 
 from .eertree import PalindromeIndex
 from .streams import materialize
-from .words import Word, mirror
-
-
-@dataclass(frozen=True)
-class GreedyDecomposition:
-    """Unique greedy factorization for one side; spans are 1-based inclusive."""
-
-    side: str  # "left" | "right"
-    spans: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    def factors(self, w: Sequence[int]) -> list[Word]:
-        word = w if isinstance(w, Word) else Word(w)
-        return [word[s - 1 : e] for s, e in self.spans]
-
-    def to_json(self) -> dict:
-        return {"side": self.side, "spans": [[s, e] for s, e in self.spans]}
+from .words import Decomposition, Word
 
 
 def _right_greedy_spans(lps: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -51,18 +33,24 @@ def _right_greedy_spans(lps: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
-def rgpal(w: Sequence[int]) -> tuple[int, GreedyDecomposition]:
+def _left_greedy_spans(rev_lps: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Left-greedy spans of the whole word whose reversal has the
+    longest-palindromic-suffix array ``rev_lps``: the reversal's right-greedy
+    spans, mirrored."""
+    n = len(rev_lps)
+    return tuple((n - e + 1, n - s + 1) for s, e in reversed(_right_greedy_spans(rev_lps)))
+
+
+def rgpal(w: Sequence[int]) -> tuple[int, Decomposition]:
     """Right-greedy palindromic factor count and its decomposition."""
     spans = _right_greedy_spans(PalindromeIndex(w).lps)
-    return len(spans), GreedyDecomposition("right", spans)
+    return len(spans), Decomposition(spans)
 
 
-def lgpal(w: Sequence[int]) -> tuple[int, GreedyDecomposition]:
+def lgpal(w: Sequence[int]) -> tuple[int, Decomposition]:
     """Left-greedy palindromic factor count and its decomposition."""
-    n = len(w)
-    k, dec = rgpal(mirror(w))
-    spans = tuple((n - e + 1, n - s + 1) for s, e in reversed(dec.spans))
-    return k, GreedyDecomposition("left", spans)
+    spans = _left_greedy_spans(PalindromeIndex(w[::-1]).lps)
+    return len(spans), Decomposition(spans)
 
 
 def gap_witness(w: Sequence[int]) -> tuple[int, int, int]:
@@ -86,10 +74,7 @@ def gap_witness(w: Sequence[int]) -> tuple[int, int, int]:
 
 @dataclass
 class GreedyProfile:
-    """Per-prefix greedy counts for prefixes 1..horizon of a stream.
-
-    The left arrays are empty when the profile was built right-side only.
-    """
+    """Per-prefix greedy counts for prefixes 1..horizon of a stream."""
 
     lgpal: list[int]
     rgpal: list[int]
@@ -138,15 +123,10 @@ def lgpal_profile(w: Sequence[int]) -> list[int]:
     return PalindromeIndex(w).left_greedy_counts()
 
 
-def greedy_profile(stream, horizon: int, sides: str = "both") -> GreedyProfile:
-    """Greedy counts for every prefix up to the horizon, from one index.
-
-    ``sides`` is one of ``both``, ``right``, ``left``; ``right`` skips the
-    left-greedy walk (O(n log^2 n)) and keeps the linear right-greedy pass.
-    """
-    if sides not in ("both", "right", "left"):
-        raise ValueError("sides must be 'both', 'right' or 'left'")
+def greedy_profile(stream, horizon: int) -> GreedyProfile:
+    """Left- and right-greedy counts for every prefix up to the horizon,
+    from one index."""
     idx = PalindromeIndex(materialize(stream, horizon))
-    rg = right_greedy_counts(idx.lps) if sides in ("both", "right") else []
-    lg = idx.left_greedy_counts() if sides in ("both", "left") else []
+    lg = idx.left_greedy_counts()
+    rg = right_greedy_counts(idx.lps)
     return GreedyProfile(lg, rg, running_max(lg), running_max(rg))

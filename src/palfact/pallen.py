@@ -9,12 +9,12 @@ paths on purpose so each can check the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, le, sub
 from typing import Sequence
 
 from .eertree import PalindromeIndex
+from .greedy import _left_greedy_spans, _right_greedy_spans
 from .streams import materialize
-from .words import Word
+from .words import Decomposition, Word
 
 
 @dataclass(frozen=True)
@@ -33,54 +33,6 @@ class PalPrefixTable:
         lines = ["n,pal"]
         lines.extend(f"{i},{v}" for i, v in enumerate(self.values) if i > 0)
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Ordered palindromic spans tiling a word; 1-based inclusive bounds."""
-
-    spans: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    def validate(self, w: Sequence[int], proved: set | None = None) -> None:
-        """Raise ValueError unless the spans tile ``w`` with palindromes.
-
-        ``proved`` holds spans already shown to be palindromes of this same
-        ``w``; the spans this call proves join it, so checking many
-        decompositions of one word tests each distinct span once.
-        """
-        t = w if type(w) is tuple else tuple(w)
-        spans = self.spans
-        starts = list(map(itemgetter(0), spans))
-        ends = list(map(itemgetter(1), spans))
-        # the first span starts at 1, every other one right after the one
-        # before it ends, and none ends before it starts
-        if spans and (starts[0] != 1
-                      or list(map(sub, starts[1:], ends)) != [1] * (len(ends) - 1)
-                      or not all(map(le, starts, ends))):
-            raise ValueError(f"spans do not tile the word: {self.spans}")
-        if (ends[-1] if ends else 0) != len(t):
-            raise ValueError("spans do not cover the whole word")
-        if proved is None:
-            proved = set()
-        if not proved.issuperset(spans):
-            fresh = set(spans).difference(proved)
-            for start, end in fresh:
-                f = t[start - 1 : end]
-                if f != f[::-1]:
-                    raise ValueError(f"span {start}-{end} is not a palindrome")
-            proved.update(fresh)
-
-    def factors(self, w: Sequence[int]) -> list[Word]:
-        word = w if isinstance(w, Word) else Word(w)
-        return [word[s - 1 : e] for s, e in self.spans]
-
-    def to_json(self) -> tuple[tuple[int, int], ...]:
-        """The spans themselves: JSON writes tuples as arrays, and copying
-        them into lists would cost a list per span."""
-        return self.spans
 
 
 def pal_dp(w: Sequence[int]) -> tuple[int, PalPrefixTable]:
@@ -111,7 +63,8 @@ def pal_fast(w: Sequence[int]) -> tuple[int, PalPrefixTable]:
 
 @dataclass(frozen=True)
 class MinimalFactorizations:
-    """All decompositions into the minimum number of palindromes.
+    """All decompositions into the minimum number of palindromes, with the
+    word's left- and right-greedy decompositions.
 
     ``decompositions`` is in lexicographic order of span-start sequences;
     ``truncated`` is set when enumeration stopped at the requested limit.
@@ -121,6 +74,8 @@ class MinimalFactorizations:
     count: int
     decompositions: tuple[Decomposition, ...]
     truncated: bool
+    left_greedy: Decomposition
+    right_greedy: Decomposition
 
     def __iter__(self):
         return iter(self.decompositions)
@@ -129,16 +84,20 @@ class MinimalFactorizations:
         return len(self.decompositions)
 
     def to_json(self) -> dict:
+        """The minimal decompositions; each is its spans themselves, since
+        JSON writes tuples as arrays and copying them into lists would cost a
+        list per span."""
         return {
             "pal": self.count,
-            "decompositions": [d.to_json() for d in self.decompositions],
+            "decompositions": [d.spans for d in self.decompositions],
             "truncated": self.truncated,
         }
 
 
 def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactorizations:
     """Enumerate every decomposition of ``w`` into exactly the minimum
-    number of palindromes, up to ``limit`` many.
+    number of palindromes, up to ``limit`` many, and read the left- and
+    right-greedy decompositions from the same two indices.
 
     In a minimum decomposition with cut positions 0 = c0 < ... < ck = n,
     every prefix value obeys values[c_t] = t and the suffix after c_t needs
@@ -150,13 +109,18 @@ def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactori
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    word = Word(w)
-    n = len(word)
-    total, table = pal_fast(word)
-    if n == 0:
-        return MinimalFactorizations(word, 0, (Decomposition(()),), False)
+    word = w if isinstance(w, Word) else Word(w)
+    if not word:
+        empty = Decomposition(())
+        return MinimalFactorizations(word, 0, (empty,), False, empty, empty)
     symbols = tuple(word)
-    values = table.values
+    n = len(symbols)
+    # one index alive at a time: on rich words each is large
+    fwd = PalindromeIndex(symbols, track_min=True)
+    values = fwd.min_factors
+    right_spans = _right_greedy_spans(fwd.lps)
+    del fwd
+    total = values[-1]
     # rest[c] = minimum count of w[c:], from the reversal's prefix table
     rev = PalindromeIndex(symbols[::-1], track_min=True)
     rest = rev.min_factors[::-1]
@@ -205,10 +169,12 @@ def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactori
             # A further decomposition may or may not exist; flag conservatively.
             truncated = True
             break
+    left = Decomposition(_left_greedy_spans(rev.lps))
+    right = Decomposition(right_spans)
     proved: set[tuple[int, int]] = set()
-    for d in found:
+    for d in (*found, left, right):
         d.validate(symbols, proved)
-    return MinimalFactorizations(word, total, tuple(found), truncated)
+    return MinimalFactorizations(word, total, tuple(found), truncated, left, right)
 
 
 def first_attainment(stream, k_max: int, horizon: int) -> dict[int, int | None]:

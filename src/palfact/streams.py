@@ -53,6 +53,9 @@ class InfiniteWord:
     longest prefix asked for.  A source may read the buffer, because
     ``list.extend`` appends each symbol before it draws the next.  Symbols
     are never rewritten, so concurrent readers of shorter prefixes are safe.
+    A source yields only symbols checked where they entered the stream (the
+    words it was built from, or this module's own level steps), so
+    ``prefix`` builds its ``Word`` without checking them again.
     """
 
     def __init__(self, cap: int | None = None):
@@ -60,11 +63,8 @@ class InfiniteWord:
         self._lock = threading.Lock()
         self.cap = DEFAULT_CAP if cap is None else cap
 
-    def spec_string(self) -> str:
-        return self.name
-
     def __repr__(self):
-        return f"<{type(self).__name__} {self.spec_string()}>"
+        return f"<{type(self).__name__} {self.name}>"
 
     def prefix(self, n: int) -> Word:
         if n < 0:
@@ -77,9 +77,9 @@ class InfiniteWord:
                 # another reader may have grown the buffer while this one waited
                 buf.extend(islice(self._source, max(n - len(buf), 0)))
                 if len(buf) < n:  # only a morphism's source can run dry
-                    raise ValueError(f"the fixed point of {self.spec_string()} is "
+                    raise ValueError(f"the fixed point of {self.name} is "
                                      f"finite: it has {len(buf)} symbols")
-        return Word(buf[:n])
+        return tuple.__new__(Word, buf[:n])
 
 
 class Periodic(InfiniteWord):
@@ -114,7 +114,7 @@ class MorphismFixedPoint(InfiniteWord):
 
     def __init__(self, rules: dict, seed: int, cap: int | None = None, name: str | None = None):
         super().__init__(cap)
-        self.rules = {k: tuple(v) for k, v in rules.items()}
+        self.rules = {k: Word(v) for k, v in rules.items()}
         self.seed = seed
         img = self.rules.get(seed)
         if img is None or len(img) < 2 or img[0] != seed:
@@ -138,7 +138,7 @@ class MorphismFixedPoint(InfiniteWord):
         images = map(self.rules.__getitem__, islice(self._buf, 1, None))
         self._source = chain(img, chain.from_iterable(images))
         if not name:
-            rules = ",".join(f"{Word((k,))}>{Word(v)}" for k, v in sorted(self.rules.items()))
+            rules = ",".join(f"{Word((k,))}>{v}" for k, v in sorted(self.rules.items()))
             name = f"morphism:{rules}@{Word((seed,))}"
         self.name = name
 
@@ -318,7 +318,7 @@ def _parse_token(token: str, cap: int | None):
             lhs_w = _parse_word_text(lhs, token)
             if len(lhs_w) != 1:
                 raise ParseError(f"rule source must be one letter in {rule_text!r}", token=rule_text)
-            rules[lhs_w[0]] = tuple(_parse_word_text(rhs, token))
+            rules[lhs_w[0]] = _parse_word_text(rhs, token)
         try:
             return MorphismFixedPoint(rules, seed[0], cap)
         except ValueError as exc:
@@ -349,5 +349,5 @@ def materialize(source, horizon: int | None = None) -> Word:
 def spec_of(source) -> str:
     """Report label for a word or stream."""
     if isinstance(source, InfiniteWord):
-        return source.spec_string()
+        return source.name
     return f"lit:{Word(source)}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from operator import itemgetter, le, sub
 from typing import Iterable, Sequence, Union
 
 from .eertree import PalindromeIndex
@@ -79,6 +81,53 @@ class Word(tuple):
 
 
 EMPTY = Word()
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Ordered palindromic spans tiling a word; 1-based inclusive bounds.
+
+    The one type of a palindromic tiling: minimal, left- and right-greedy
+    decompositions alike.
+    """
+
+    spans: tuple[tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def validate(self, w: Sequence[int], proved: set | None = None) -> None:
+        """Raise ValueError unless the spans tile ``w`` with palindromes.
+
+        ``proved`` holds spans already shown to be palindromes of this same
+        ``w``; the spans this call proves join it, so checking many
+        decompositions of one word tests each distinct span once.
+        """
+        t = w if type(w) is tuple else tuple(w)
+        spans = self.spans
+        starts = list(map(itemgetter(0), spans))
+        ends = list(map(itemgetter(1), spans))
+        # the first span starts at 1, every other one right after the one
+        # before it ends, and none ends before it starts
+        if spans and (starts[0] != 1
+                      or list(map(sub, starts[1:], ends)) != [1] * (len(ends) - 1)
+                      or not all(map(le, starts, ends))):
+            raise ValueError(f"spans do not tile the word: {self.spans}")
+        if (ends[-1] if ends else 0) != len(t):
+            raise ValueError("spans do not cover the whole word")
+        if proved is None:
+            proved = set()
+        if not proved.issuperset(spans):
+            fresh = set(spans).difference(proved)
+            for start, end in fresh:
+                f = t[start - 1 : end]
+                if f != f[::-1]:
+                    raise ValueError(f"span {start}-{end} is not a palindrome")
+            proved.update(fresh)
+
+    def factors(self, w: Sequence[int]) -> list[Word]:
+        word = w if isinstance(w, Word) else Word(w)
+        return [word[s - 1 : e] for s, e in self.spans]
 
 
 def render_style(w: "Word") -> str:

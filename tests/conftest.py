@@ -1,3 +1,7 @@
+import pytest
+
+from palfact.eertree import PalindromeIndex
+
 ACCEPTANCE_LINES = []
 
 
@@ -6,3 +10,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Counts PalindromeIndex constructions from the moment it is requested."""
+    builds = []
+    init = PalindromeIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PalindromeIndex, "__init__", counting)
+    return builds

@@ -18,7 +18,6 @@ from palfact import (
     verify_next_closed_forms,
 )
 from palfact.analysis import validate_next_member
-from palfact.eertree import PalindromeIndex
 from palfact.oracles import brute_pal_table
 from palfact.streams import closure_power_stream, materialize, multibonacci_stream, parse_spec
 
@@ -144,20 +143,6 @@ def test_alphabet_bound_check_is_the_bound_report_rule():
         assert alphabet_bound_check(stream, 1000) == rule, stream
         verdicts.add(rule)
     assert verdicts == {"pass", "inapplicable"}
-
-
-@pytest.fixture
-def index_builds(monkeypatch):
-    """Counts PalindromeIndex constructions from the moment it is requested."""
-    builds = []
-    init = PalindromeIndex.__init__
-
-    def counting(self, *args, **kwargs):
-        builds.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PalindromeIndex, "__init__", counting)
-    return builds
 
 
 def test_bound_layer_builds_one_index_per_word(index_builds):

@@ -362,6 +362,16 @@ GOLDEN_DIGESTS = [
      "886176af79217b9aaafbe74f0a2c42a59d905b6ca8df5081974a3ff48164af4f"),
     (("next", "lit:ab", "--max-len", "128", "--format", "text"),
      "a6c54d3bf70f787dc100b2974268038854a6747a03d1cfdd7fb70e40cc7e65e7"),
+    # recorded before the greedy decompositions came from the minimal
+    # search's indices; the empty and one-span greedy renderings
+    (("decompose", "lit:", "--format", "json"),
+     "afc7f4ed9904a9bd9e284415d687f5cf8952dedecc426a7ff2fd6999c6e5ead6"),
+    (("decompose", "lit:", "--format", "text"),
+     "329ccef5df20d472f388bfe25fb419b56628f402f5d1826b0409767dfdf0c33b"),
+    (("decompose", "lit:a", "--format", "json"),
+     "a733e58a8cbdd16ea5167cb797556cea84799deffb1e1ee140d5bda27a66c6c4"),
+    (("decompose", "lit:a", "--format", "text"),
+     "214adda37275971077ddcb0847a21a269c876f00da59a4c48c1bbe7042042e3f"),
 ]
 
 
@@ -373,6 +383,20 @@ def test_output_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (("len", "lit:aabaabbab"), 2),
+    (("decompose", "lit:aabaabbab"), 2),
+    (("next", "lit:aab", "--max-len", "24"), 0),
+    (("profile", "fib", "--horizon", "200"), 1),
+])
+def test_index_builds_per_command(capsys, index_builds, argv, builds):
+    # decompose reads its greedy decompositions from the two indices of the
+    # minimal search instead of indexing the word and its reversal again
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(index_builds) == builds
 
 
 class Side(IntEnum):

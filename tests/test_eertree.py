@@ -9,7 +9,6 @@ from palfact import (
     closure_power_stream,
     fibonacci_stream,
     gap_sequence,
-    longest_palindromic_prefix,
     palindromic_prefixes,
     product_of_two_palindromes,
     word_u_stream,
@@ -132,14 +131,6 @@ def test_left_greedy_counts_examples():
     assert PalindromeIndex(Word("abaab")).left_greedy_counts() == [1, 2, 1, 2, 3]
     assert PalindromeIndex(Word("aaaa")).left_greedy_counts() == [1, 1, 1, 1]
     assert PalindromeIndex(Word()).left_greedy_counts() == []
-
-
-def test_longest_palindromic_prefix_examples():
-    assert longest_palindromic_prefix(Word("abaa")) == 3
-    assert longest_palindromic_prefix(Word("abaab")) == 3
-    assert longest_palindromic_prefix(Word("aba")) == 3
-    with pytest.raises(ValueError):
-        longest_palindromic_prefix(Word())
 
 
 def test_palindromic_prefixes_periodic():

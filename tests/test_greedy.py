@@ -144,7 +144,7 @@ def test_greedy_profile_alternating():
 def test_greedy_profile_isolated_b_streams():
     for n in (1, 2, 3):
         stream = Periodic(Word("a") * n + Word("b"))
-        gp = greedy_profile(stream, 500, sides="right")
+        gp = greedy_profile(stream, 500)
         assert gp.max_rgpal[-1] <= 2
 
 
@@ -178,7 +178,7 @@ def test_factor_bound_from_left_greedy_prefix_bound():
     # 2K palindromic factors (finite check at horizon 1000, window 100)
     for period in ("ab", "abba", "aba", "aab"):
         stream = Periodic(Word(period))
-        gp = greedy_profile(stream, 1000, sides="left")
+        gp = greedy_profile(stream, 1000)
         bound = 2 * gp.max_lgpal[-1]
         w = stream.prefix(1000)
         assert _windowed_factor_max(w, 100) <= bound

@@ -17,6 +17,7 @@ from palfact import (
     pal_fast,
 )
 import palfact.pallen
+from palfact.greedy import lgpal, rgpal
 from palfact.oracles import brute_pal_table
 from palfact.streams import multibonacci, parse_spec, u_ladder
 
@@ -253,6 +254,33 @@ def test_search_rejects_one_corrupted_span_among_many(monkeypatch, kind):
     monkeypatch.setattr(palfact.pallen, "Decomposition", corrupting)
     with pytest.raises(ValueError):
         minimal_factorizations(BLOCKS, limit=50)
+
+
+def test_greedy_decompositions_come_with_the_minimal_ones():
+    rng = random.Random(12)
+    words = [Word(), Word("a"), Word("aaaaaaa"), Word("abacaba")]
+    for i in range(2000):
+        letters = 1 + i % 4  # one letter gives the unary words
+        half = [rng.randrange(letters) for _ in range(rng.randint(0, 30))]
+        if i % 5 == 0:  # a palindrome, of odd or even length
+            half += [rng.randrange(letters)] * (i % 2) + half[::-1]
+        words.append(Word(half))
+    for w in words:
+        facts = minimal_factorizations(w, limit=1)
+        left, right = facts.left_greedy, facts.right_greedy
+        assert left == lgpal(w)[1] and right == rgpal(w)[1], w
+        assert facts.count <= min(len(left), len(right))
+        proved = set()
+        left.validate(w, proved)
+        right.validate(w, proved)
+
+
+@pytest.mark.parametrize("rule", ["_left_greedy_spans", "_right_greedy_spans"])
+def test_search_rejects_corrupted_greedy_spans(monkeypatch, rule):
+    spans = getattr(palfact.pallen, rule)
+    monkeypatch.setattr(palfact.pallen, rule, lambda lps: spans(lps)[:-1])
+    with pytest.raises(ValueError, match="cover"):
+        minimal_factorizations(BLOCKS)
 
 
 def test_decomposition_validation_rejects_bad_spans():

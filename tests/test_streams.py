@@ -54,6 +54,23 @@ def test_morphism_prolongable_required():
         MorphismFixedPoint({0: (0, 1)}, 0)  # letter 1 has no rule
 
 
+def test_api_built_morphism_images_are_checked_at_construction():
+    # every rule is there and the label is given, so only the check of the
+    # images can reject these before a prefix is read
+    for rules in ({0: (0, -1), -1: (0,)}, {0: (0, 1), 1: (0, 2.5), 2.5: (0,)}):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            MorphismFixedPoint(rules, 0, name="bad")
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+def test_prefix_is_a_word_equal_to_its_checked_counterpart(kind):
+    stream = ALL_KINDS[kind]()
+    for n in (0, 1, 17, 500, 40):
+        p = stream.prefix(n)
+        assert type(p) is Word
+        assert p == Word(stream._buf[:n])
+
+
 def test_word_u_prefix():
     assert word_u_stream().prefix(10) == Word("aabbabaaaa")
 
