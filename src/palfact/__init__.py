@@ -88,7 +88,6 @@ from .words import (
     is_palindrome,
     is_primitive,
     mirror,
-    palindromic_closure,
     primitive_root,
     render,
     render_style,

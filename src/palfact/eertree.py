@@ -9,6 +9,14 @@ therefore split into O(log n) arithmetic progressions, which is what makes
 the minimum-factorization recurrence, the left-greedy walk and the capped
 suffix query cheap.
 
+Node fields live in parallel lists indexed by node id.  Transitions are kept
+per symbol, not per node: ``trans[c]`` maps a node v to the node of ``cvc``.
+Every node but the roots is the target of exactly one edge, so the tables
+hold one entry per node, where one dict per node cost at least an empty dict
+(64 B; 224 B once it holds an edge) for each.  A rich word adds a node at
+almost every position, so this halves an index's memory.  Keys are the
+symbols themselves, so symbols stay unbounded non-negative ints.
+
 The structure is single-writer: ``append``/``extend`` grow it, concurrent
 reads of already-indexed positions are safe between writes.
 """
@@ -27,6 +35,9 @@ class PalindromeIndex:
     use 1-based prefix lengths).  With ``track_min=True`` the index also
     maintains ``min_factors``, where ``min_factors[i]`` is the minimum number
     of nonempty palindromes concatenating to the length-``i`` prefix.
+
+    Per-node data are parallel lists (length, suffix link, difference,
+    series link); ``_trans[c][v]`` is the child of node v by symbol c.
     """
 
     __slots__ = (
@@ -50,7 +61,7 @@ class PalindromeIndex:
         self._link = [0, 0]
         self._diff = [0, 0]
         self._qlink = [0, 0]
-        self._trans: list[dict] = [{}, {}]
+        self._trans: dict[int, dict[int, int]] = {}
         self._node_at: list[int] = []
         self._lps: list[int] = []
         self._last = 1
@@ -156,9 +167,12 @@ class PalindromeIndex:
                 if j >= 0 and word[j] == c:
                     break
                 v = link[v]
-            nxt = trans[v].get(c)
+            tc = trans.get(c)
+            if tc is None:
+                tc = trans[c] = {}
+            nxt = tc.get(v)
             if nxt is None:
-                if lens[v] == -1:
+                if v == 0:
                     lk = 1
                 else:
                     u = link[v]
@@ -167,7 +181,7 @@ class PalindromeIndex:
                         if j >= 0 and word[j] == c:
                             break
                         u = link[u]
-                    lk = trans[u][c]
+                    lk = tc[u]
                 nxt = len(lens)
                 newlen = lens[v] + 2
                 lens.append(newlen)
@@ -175,8 +189,7 @@ class PalindromeIndex:
                 d = newlen - lens[lk]
                 diff.append(d)
                 qlink.append(lk if d != diff[lk] else qlink[lk])
-                trans[v][c] = nxt
-                trans.append({})
+                tc[v] = nxt
                 if track:
                     sans.append(0)
             last = nxt
@@ -184,24 +197,30 @@ class PalindromeIndex:
             node_at.append(nxt)
             lps.append(lens[nxt])
             if track:
+                # One step per series group.  q differs from vv's suffix
+                # link exactly when that link lies in vv's group; then the
+                # link's stored answer covers the rest of the group.
                 best = n
                 vv = nxt
-                while lens[vv] > 0:
-                    cand = dp[n - lens[qlink[vv]] - diff[vv]]
+                while vv > 1:
+                    q = qlink[vv]
+                    cand = dp[n - lens[q] - diff[vv]]
                     lv = link[vv]
-                    if diff[vv] == diff[lv]:
+                    if q != lv:
                         alt = sans[lv]
                         if alt < cand:
                             cand = alt
                     sans[vv] = cand
                     if cand < best:
                         best = cand
-                    vv = qlink[vv]
+                    vv = q
                 dp.append(best + 1)
         self._last = last
 
     def suffix_palindrome_lengths(self, prefix_len: int) -> Iterator[int]:
         """All palindromic suffix lengths of the given prefix, decreasing."""
+        if prefix_len <= 0:
+            return
         lens = self._len
         link = self._link
         v = self._node_at[prefix_len - 1]
@@ -245,7 +264,8 @@ class SharedEertree:
     prefix length, ``nodes[0]`` the empty root) and ``dp`` (the minimum
     palindromic factor count per prefix length), which ``push`` and ``pop``
     grow and shrink together.  The prefix of length ``n`` is a palindrome
-    exactly when ``lens[nodes[n]] == n``.
+    exactly when ``lens[nodes[n]] == n``.  Transitions use the same layout
+    as ``PalindromeIndex``: ``trans[c][v]`` is the child of node v by c.
     """
 
     __slots__ = ("lens", "link", "trans", "word", "nodes", "dp")
@@ -253,7 +273,7 @@ class SharedEertree:
     def __init__(self):
         self.lens = [-1, 0]
         self.link = [0, 0]
-        self.trans: list[dict] = [{}, {}]
+        self.trans: dict[int, dict[int, int]] = {}
         self.word: list[int] = []
         self.nodes = [1]
         self.dp = [0]
@@ -272,9 +292,12 @@ class SharedEertree:
             if j >= 0 and word[j] == c:
                 break
             v = link[v]
-        nxt = trans[v].get(c)
+        tc = trans.get(c)
+        if tc is None:
+            tc = trans[c] = {}
+        nxt = tc.get(v)
         if nxt is None:
-            if lens[v] == -1:
+            if v == 0:
                 lk = 1
             else:
                 u = link[v]
@@ -283,12 +306,11 @@ class SharedEertree:
                     if j >= 0 and word[j] == c:
                         break
                     u = link[u]
-                lk = trans[u][c]
+                lk = tc[u]
             nxt = len(lens)
             lens.append(lens[v] + 2)
             link.append(lk)
-            trans[v][c] = nxt
-            trans.append({})
+            tc[v] = nxt
         return nxt
 
     def push(self, c: int) -> int:

@@ -102,21 +102,6 @@ def brute_rgpal(w: Sequence[int]) -> int:
     return brute_lgpal(s[::-1])
 
 
-def brute_palindromic_closure(w: Sequence[int]) -> tuple[int, ...]:
-    """Shortest palindrome with w as a prefix, by scanning candidate lengths.
-
-    A palindrome of length T < 2n with prefix w is forced to equal
-    w + reverse(w[:T-n]), so each length has exactly one candidate.
-    """
-    t = tuple(w)
-    n = len(t)
-    for total in range(n, 2 * n):
-        cand = t + tuple(reversed(t[: total - n]))
-        if cand == cand[::-1]:
-            return cand
-    return t + tuple(reversed(t[:-1]))
-
-
 def brute_palindromic_prefix_lengths(w: Sequence[int]) -> list[int]:
     s = tuple(w)
     return [ell for ell in range(1, len(s) + 1) if s[:ell] == s[:ell][::-1]]

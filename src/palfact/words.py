@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from operator import itemgetter, le, sub
 from typing import Iterable, Sequence, Union
 
-from .eertree import PalindromeIndex
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -78,9 +77,6 @@ class Word(tuple):
             # the symbols were checked when this word was built
             return tuple.__new__(Word, tuple.__getitem__(self, item))
         return tuple.__getitem__(self, item)
-
-
-EMPTY = Word()
 
 
 @dataclass(frozen=True)
@@ -199,20 +195,6 @@ def primitive_root(w: Sequence[int]) -> Word:
         if n % d == 0 and t[:d] * (n // d) == t:
             return Word(t[:d])
     raise AssertionError("unreachable")
-
-
-def palindromic_closure(w: Sequence[int]) -> Word:
-    """Shortest palindrome having ``w`` as a prefix.
-
-    Uses the identity ``|closure| = 2|w| - (longest palindromic suffix of w)``,
-    so the cost is linear instead of a quadratic scan over candidate lengths.
-    """
-    n = len(w)
-    if n == 0:
-        return EMPTY
-    lps = PalindromeIndex(w).lps[-1]
-    t = tuple(w)
-    return Word(t + tuple(reversed(t[: n - lps])))
 
 
 def count_occurrences(w: Sequence[int], factor: Sequence[int]) -> int:

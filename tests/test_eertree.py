@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,9 +21,11 @@ from palfact.oracles import (
     brute_distinct_palindromes,
     brute_lgpal,
     brute_lps_array,
+    brute_pal_table,
     brute_palindromic_prefix_lengths,
     brute_palindromic_spans,
 )
+from palfact.streams import multibonacci
 from palfact.words import is_palindrome, is_primitive
 
 
@@ -61,20 +64,78 @@ def test_node_count_equals_distinct_palindromes():
         assert PalindromeIndex(w).node_count() == len(brute_distinct_palindromes(w))
 
 
+def test_suffix_palindrome_lengths_of_the_empty_prefix():
+    # the empty prefix has no palindromic suffix; position -1 used to wrap
+    # to the last one
+    idx = PalindromeIndex((0, 1, 0))
+    assert list(idx.suffix_palindrome_lengths(0)) == []
+    assert list(idx.suffix_palindrome_lengths(3)) == [3, 1]
+    assert list(PalindromeIndex().suffix_palindrome_lengths(0)) == []
+
+
+# Symbols far beyond any alphabet size; the transition tables are keyed by
+# the symbols themselves, so none of these may collide or be truncated.
+LARGE_SYMBOLS = (0, 2**40, 10**18, 2**40 + 1)
+
+
+def test_large_symbols_against_oracles():
+    rng = random.Random(40)
+    for _ in range(300):
+        k = rng.randint(1, len(LARGE_SYMBOLS))
+        w = tuple(LARGE_SYMBOLS[rng.randrange(k)] for _ in range(rng.randint(0, 60)))
+        idx = PalindromeIndex(w, track_min=True)
+        assert idx.lps == brute_lps_array(w)
+        assert idx.min_factors == brute_pal_table(w) == list(pal_dp(w)[1].values)
+        assert idx.node_count() == len(brute_distinct_palindromes(w))
+
+
 def test_incremental_append_matches_batch():
+    # growth by single appends and by extend chunks of random sizes (empty
+    # ones included) must leave the same index as one build
     rng = random.Random(5)
     for _ in range(300):
-        n = rng.randint(1, 120)
-        w = tuple(rng.randrange(3) for _ in range(n))
-        grown = PalindromeIndex()
-        for c in w:
-            grown.append(c)
-        batch = PalindromeIndex(w)
+        k = rng.randint(1, len(LARGE_SYMBOLS))
+        w = tuple(LARGE_SYMBOLS[rng.randrange(k)] for _ in range(rng.randint(1, 120)))
+        grown = PalindromeIndex(track_min=True)
+        i = 0
+        while i < len(w):
+            if rng.random() < 0.3:
+                grown.append(w[i])
+                i += 1
+            else:
+                step = rng.randint(0, 20)
+                grown.extend(w[i : i + step])
+                i += step
+        batch = PalindromeIndex(w, track_min=True)
+        assert grown.word == batch.word == list(w)
         assert grown.lps == batch.lps
         assert grown.node_count() == batch.node_count()
-        assert list(grown.suffix_palindrome_lengths(n)) == list(
-            batch.suffix_palindrome_lengths(n)
+        assert grown.palindrome_lengths() == batch.palindrome_lengths()
+        assert grown.min_factors == batch.min_factors
+        assert grown.left_greedy_counts() == batch.left_greedy_counts()
+        assert list(grown.suffix_palindrome_lengths(len(w))) == list(
+            batch.suffix_palindrome_lengths(len(w))
         )
+
+
+@pytest.mark.parametrize("track_min", [False, True])
+@pytest.mark.parametrize("name", ["fib", "multibonacci"])
+def test_index_memory_per_symbol(name, track_min):
+    # Rich words add a node at almost every position.  With one transition
+    # dict per node these builds traced 376-400 bytes per symbol; with one
+    # table per symbol they trace 180-212.
+    if name == "fib":
+        w = tuple(fibonacci_stream().prefix(20000))
+    else:
+        w = tuple(multibonacci(14))
+    tracemalloc.start()
+    try:
+        idx = PalindromeIndex(w, track_min=track_min)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.node_count() == len(w)
+    assert peak < 260 * len(w)
 
 
 def test_longest_suffix_leq_against_spans():
@@ -95,13 +156,13 @@ def test_shared_eertree_push_pop_walks():
     # seeded walks that grow and shrink one branch (kept under 80 letters);
     # after every step the table and palindrome test match a fresh computation
     rng = random.Random(11)
-    for alphabet in (1, 2, 3, 4):
+    for alphabet in ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), LARGE_SYMBOLS):
         tree = SharedEertree()
         for _ in range(2000):
             if tree.word and (rng.random() < 0.4 or len(tree.word) == 80):
                 tree.pop()
             else:
-                val = tree.push(rng.randrange(alphabet))
+                val = tree.push(rng.choice(alphabet))
                 assert val == tree.dp[-1]
             word = tree.word
             assert tuple(tree.dp) == pal_dp(word)[1].values

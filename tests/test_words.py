@@ -8,12 +8,10 @@ from palfact import (
     is_palindrome,
     is_primitive,
     mirror,
-    palindromic_closure,
     primitive_root,
     render,
     render_style,
 )
-from palfact.oracles import brute_palindromic_closure
 
 
 def all_binary_words(max_len):
@@ -147,24 +145,6 @@ def test_primitive_root():
         assert is_primitive(root)
         # exponent is unique
         assert len(t) % len(root) == 0
-
-
-def test_palindromic_closure_examples():
-    assert palindromic_closure(Word("abaa")) == Word("abaaba")
-    assert palindromic_closure(Word("aba")) == Word("aba")
-    assert palindromic_closure(Word("abaabaaa")) == Word("abaabaaabaaba")
-    assert palindromic_closure(Word()) == Word()
-
-
-def test_palindromic_closure_minimality():
-    for t in all_binary_words(11):
-        w = Word(t)
-        c = palindromic_closure(w)
-        assert tuple(c) == brute_palindromic_closure(w)
-        assert is_palindrome(c)
-        assert tuple(c[: len(w)]) == tuple(w)
-        if w:
-            assert len(c) < 2 * len(w)
 
 
 def test_count_occurrences_overlapping():
