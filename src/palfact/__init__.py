@@ -15,7 +15,6 @@ from .analysis import (
     bound_report,
     classify_bound2,
     enumerate_next,
-    reachable_sets,
     verify_next_closed_forms,
 )
 from .eertree import PalindromeIndex

@@ -1,4 +1,4 @@
-"""Bounded-prefix analysis: reachable sets, bound reports, next-palindrome
+"""Bounded-prefix analysis: bound reports, next-palindrome
 enumeration over the binary alphabet, and closed-form classification of
 streams whose prefixes stay within two palindromic factors.
 """
@@ -14,45 +14,6 @@ from .errors import AmbiguousHorizon
 from .pallen import pal_dp
 from .streams import materialize, spec_of
 from .words import Word
-
-
-def reachable_sets(stream, k_max: int, horizon: int) -> list[set[int]]:
-    """Endpoint sets I_0..I_k_max, where I_k holds the prefix lengths
-    decomposable into exactly k nonempty palindromes.
-
-    I_0 = {0}; I_k extends each endpoint of I_{k-1} by one palindromic
-    factor.  The least k containing n must agree with the minimum factor
-    count of the length-n prefix; a mismatch raises.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    w = materialize(stream, horizon)
-    n = len(w)
-    # the palindromes starting at j end at j + s, s over the palindromic
-    # suffix lengths of the reversal's prefix of length n - j
-    rev = PalindromeIndex(w[::-1])
-    sets: list[set[int]] = [{0}]
-    for _ in range(k_max):
-        frontier = set()
-        for j in sets[-1]:
-            if j < n:
-                frontier.update(map(j.__add__, rev.suffix_palindrome_lengths(n - j)))
-        sets.append(frontier)
-    dp = PalindromeIndex(w, track_min=True).min_factors
-    for length in range(1, n + 1):
-        mink = next((k for k in range(k_max + 1) if length in sets[k]), None)
-        if dp[length] <= k_max:
-            if mink != dp[length]:
-                raise RuntimeError(
-                    f"reachable-set minimum {mink} disagrees with factor count "
-                    f"{dp[length]} at prefix length {length}"
-                )
-        elif mink is not None:
-            raise RuntimeError(
-                f"prefix length {length} reachable with {mink} factors but the "
-                f"minimum is {dp[length]}"
-            )
-    return sets
 
 
 def _windowed_factor_max(w: Sequence[int], window: int) -> int:

@@ -6,8 +6,9 @@ suffix link (its longest proper palindromic suffix) and a series link that
 jumps past the maximal run of suffix-link ancestors sharing the same
 ``length - link_length`` difference.  Palindromic suffixes of any prefix
 therefore split into O(log n) arithmetic progressions, which is what makes
-the minimum-factorization recurrence, the left-greedy walk and the capped
-suffix query cheap.
+the minimum-factorization recurrence, the left-greedy counts and the capped
+suffix query cheap: the first two share one walk over the groups, with one
+memo per node for each, so a symbol costs O(log n).
 
 Node fields live in parallel lists indexed by node id.  Transitions are kept
 per symbol, not per node: ``trans[c]`` maps a node v to the node of ``cvc``.
@@ -23,7 +24,6 @@ reads of already-indexed positions are safe between writes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 
@@ -35,6 +35,9 @@ class PalindromeIndex:
     use 1-based prefix lengths).  With ``track_min=True`` the index also
     maintains ``min_factors``, where ``min_factors[i]`` is the minimum number
     of nonempty palindromes concatenating to the length-``i`` prefix.
+    ``track_left=True`` (implies ``track_min``) also tracks
+    ``left_greedy_counts()`` in the same walk, for a memo per node, a byte
+    per position and the current prefix's factor starts.
 
     Per-node data are parallel lists (length, suffix link, difference,
     series link); ``_trans[c][v]`` is the child of node v by symbol c.
@@ -50,12 +53,16 @@ class PalindromeIndex:
         "_node_at",
         "_lps",
         "_last",
-        "_track_min",
         "_min_dp",
         "_series_ans",
+        "_left_ans",
+        "_cuts",
+        "_is_cut",
+        "_left_counts",
     )
 
-    def __init__(self, symbols: Sequence[int] = (), track_min: bool = False):
+    def __init__(self, symbols: Sequence[int] = (), track_min: bool = False,
+                 track_left: bool = False):
         self._word: list[int] = []
         self._len = [-1, 0]
         self._link = [0, 0]
@@ -65,9 +72,13 @@ class PalindromeIndex:
         self._node_at: list[int] = []
         self._lps: list[int] = []
         self._last = 1
-        self._track_min = track_min
+        track_min = track_min or track_left  # the two share one walk
         self._min_dp = [0] if track_min else None
         self._series_ans = [0, 0] if track_min else None
+        self._left_ans = [0, 0] if track_left else None
+        self._cuts: list[int] | None = [] if track_left else None
+        self._is_cut = bytearray() if track_left else None
+        self._left_counts: list[int] | None = [] if track_left else None
         if symbols:
             self.extend(symbols)
 
@@ -87,51 +98,32 @@ class PalindromeIndex:
     @property
     def min_factors(self) -> list[int]:
         """Minimum palindromic factor count per prefix length (index 0 is 0)."""
-        if not self._track_min:
+        if self._min_dp is None:
             raise ValueError("index was built without track_min=True")
         return self._min_dp
 
     def left_greedy_counts(self) -> list[int]:
         """Left-greedy palindromic factor count of every prefix, in order.
 
-        A new symbol changes the left-greedy factorization only where the
+        Symbol n - 1 changes the left-greedy factorization only where the
         whole remainder becomes a palindrome, so the factor starts ("cuts")
-        are kept up to the leftmost cut s with w[s..m] a palindrome, or else
-        the new symbol opens a factor of its own.  s is found by walking the
-        palindromic suffixes at m one series-link group at a time: a group's
-        starts form an arithmetic progression, so its cuts are bisected and
-        tested by congruence.  Each symbol visits O(log n) groups with one
-        bisection each; a plain suffix-link walk is quadratic on (abbb)^n.
+        are kept up to the leftmost cut s with w[s..n-1] a palindrome, or
+        else the new symbol opens a factor of its own.  ``extend`` finds s
+        in the minimum-factor walk over the series groups of the new
+        prefix's palindromic suffixes, longest first, and keeps per group
+        head vv the leftmost cut among its group's starts (-1: none).  The
+        group's shortest member starts at x = n - len(qlink[vv]) - d, with
+        d = diff[vv].  When vv's suffix link lv lies in the group, its
+        starts are those of lv's group at prefix length n - d plus x.  Cuts
+        only lose a suffix or gain the new last position, and a dropped one
+        never returns, so lv's memo is still the answer while it is a cut;
+        otherwise only a start at or after n - d - 1 can have become one
+        since: x, or, in a run of one letter (x = n - 1, no cut yet),
+        x - d = n - 2.  Treat the list as read-only.
         """
-        lens = self._len
-        diff = self._diff
-        qlink = self._qlink
-        bisect = bisect_left
-        cuts: list[int] = []  # 0-based factor starts of the current prefix
-        counts = []
-        for m, v in enumerate(self._node_at, 1):
-            top = len(cuts)
-            hit = top
-            j = 0
-            while hit == top and lens[v] > 0:
-                first = m - lens[v]  # start of the group's longest member
-                j = bisect(cuts, first, j)
-                if j == top:
-                    break
-                d = diff[v]
-                v = qlink[v]
-                last = m - lens[v] - d  # start of its shortest member
-                while j < top and cuts[j] <= last:
-                    if (cuts[j] - first) % d == 0:
-                        hit = j
-                        break
-                    j += 1
-            if hit < top:
-                del cuts[hit + 1 :]
-            else:
-                cuts.append(m - 1)
-            counts.append(len(cuts))
-        return counts
+        if self._left_counts is None:
+            raise ValueError("index was built without track_left=True")
+        return self._left_counts
 
     def node_count(self) -> int:
         """Number of distinct nonempty palindromic factors indexed so far."""
@@ -155,9 +147,14 @@ class PalindromeIndex:
         node_at = self._node_at
         lps = self._lps
         last = self._last
-        track = self._track_min
         dp = self._min_dp
+        track = dp is not None
         sans = self._series_ans
+        counts = self._left_counts
+        left = counts is not None
+        lans = self._left_ans
+        cuts = self._cuts
+        is_cut = self._is_cut
         n = len(word)
         for c in symbols:
             word.append(c)
@@ -192,11 +189,54 @@ class PalindromeIndex:
                 tc[v] = nxt
                 if track:
                     sans.append(0)
+                    if left:
+                        lans.append(0)
             last = nxt
             n += 1
             node_at.append(nxt)
             lps.append(lens[nxt])
-            if track:
+            if left:
+                # The next branch's walk plus the memo of left_greedy_counts
+                # (see there).  is_cut[-1] is position n - 1's slot: 0.
+                is_cut.append(0)
+                nm2 = n - 2
+                best = n
+                hit = -1
+                vv = nxt
+                while vv > 1:
+                    q = qlink[vv]
+                    x = n - lens[q] - diff[vv]
+                    cand = dp[x]
+                    lv = link[vv]
+                    if q != lv:
+                        alt = sans[lv]
+                        if alt < cand:
+                            cand = alt
+                        s = lans[lv]
+                        if not is_cut[s]:
+                            s = x if x <= nm2 else nm2
+                            if not is_cut[s]:
+                                s = -1
+                    elif is_cut[x]:
+                        s = x
+                    else:
+                        s = -1
+                    sans[vv] = cand
+                    lans[vv] = s
+                    if cand < best:
+                        best = cand
+                    if hit < 0:
+                        hit = s
+                    vv = q
+                dp.append(best + 1)
+                if hit < 0:
+                    cuts.append(n - 1)
+                    is_cut[-1] = 1
+                else:
+                    while cuts[-1] != hit:
+                        is_cut[cuts.pop()] = 0
+                counts.append(len(cuts))
+            elif track:
                 # One step per series group.  q differs from vv's suffix
                 # link exactly when that link lies in vv's group; then the
                 # link's stored answer covers the rest of the group.

@@ -5,9 +5,9 @@ is left; with the per-position longest-palindromic-suffix array this is a
 single O(n) loop, and rg[i] = rg[i - lps[i-1]] + 1 gives every prefix at
 once.  The left-greedy count of one word is the right-greedy count of the
 reversal, with spans mirrored back.  The left-greedy count of every prefix
-comes from ``PalindromeIndex.left_greedy_counts``, an O(n log^2 n)
-series-link walk over the same forward index, so a profile of both sides
-costs one index build.
+comes from ``PalindromeIndex(..., track_left=True)``, which tracks it in
+the minimum-factor series-link walk of the same forward index, O(log n) per
+symbol, so a profile of both sides costs one index build.
 """
 
 from __future__ import annotations
@@ -115,19 +115,18 @@ def rgpal_profile(w: Sequence[int]) -> list[int]:
 
 
 def lgpal_profile(w: Sequence[int]) -> list[int]:
-    """Left-greedy count of every prefix, in O(n log^2 n) on one forward index.
+    """Left-greedy count of every prefix, in O(n log n) on one forward index.
 
     See ``PalindromeIndex.left_greedy_counts``.  A random binary word of
-    length 10**6 takes about 1.0-1.6 s, index build included (2-vCPU x86
-    host, Python 3.11).
+    length 10**6 takes 1.1-1.3 s, build included (2-vCPU x86, Python 3.11).
     """
-    return PalindromeIndex(w).left_greedy_counts()
+    return PalindromeIndex(w, track_min=True, track_left=True).left_greedy_counts()
 
 
 def greedy_profile(stream, horizon: int) -> GreedyProfile:
     """Left- and right-greedy counts for every prefix up to the horizon,
     from one index."""
-    idx = PalindromeIndex(materialize(stream, horizon))
+    idx = PalindromeIndex(materialize(stream, horizon), track_min=True, track_left=True)
     lg = idx.left_greedy_counts()
     rg = right_greedy_counts(idx.lps)
     return GreedyProfile(lg, rg, running_max(lg), running_max(rg))

@@ -65,11 +65,11 @@ class PrefixProfile:
 def build_profile(stream, horizon: int) -> PrefixProfile:
     """Minimum and greedy counts for every prefix up to the horizon.
 
-    All three arrays come from one forward index: ``min_factors`` from its
-    series-link recurrence, the right-greedy counts from ``lps`` and the
-    left-greedy counts from its series-link walk.
+    All three arrays come from one forward index: ``min_factors`` and the
+    left-greedy counts from one series-link walk per symbol, the
+    right-greedy counts from ``lps``.
     """
-    idx = PalindromeIndex(materialize(stream, horizon), track_min=True)
+    idx = PalindromeIndex(materialize(stream, horizon), track_min=True, track_left=True)
     pal = idx.min_factors[1:]
     rg = right_greedy_counts(idx.lps)
     lg = idx.left_greedy_counts()

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import pytest
 
@@ -14,79 +13,15 @@ from palfact import (
     enumerate_next,
     fibonacci_stream,
     pal_fast,
-    reachable_sets,
     verify_next_closed_forms,
 )
 from palfact.analysis import validate_next_member
 from palfact.oracles import brute_pal_table
-from palfact.streams import closure_power_stream, materialize, multibonacci_stream, parse_spec
+from palfact.streams import materialize, parse_spec
 
 
 def w(text):
     return Word(text)
-
-
-# ---------------------------------------------------------------- reachable
-
-
-def test_reachable_sets_alternating():
-    sets = reachable_sets(Periodic(w("ab")), 2, 7)
-    assert sets[0] == {0}
-    assert sets[1] == {1, 3, 5, 7}
-
-
-def test_reachable_sets_fibonacci_min_k():
-    sets = reachable_sets(fibonacci_stream(), 4, 80)
-    assert 9 not in sets[1] and 9 not in sets[2] and 9 in sets[3]
-
-
-def test_reachable_sets_match_palindromic_prefixes():
-    from palfact import palindromic_prefixes
-
-    for stream in (Periodic(w("ab")), Periodic(w("abba")), fibonacci_stream()):
-        sets = reachable_sets(stream, 1, 60)
-        assert sets[1] == set(palindromic_prefixes(stream, 60).lengths)
-
-
-def test_reachable_sets_agree_with_tables_on_varied_streams():
-    streams = [
-        Periodic(w("a")),
-        Periodic(w("ab")),
-        Periodic(w("aab")),
-        Periodic(w("abba")),
-        Periodic(w("abac")),
-        Periodic(w("ababa")),
-        Periodic(w("aabab")),
-        Periodic(w("abc")),
-        Periodic(w("aabb")),
-        Periodic(w("abcba")),
-        Periodic(w("121343")),
-        Periodic(w("1213121")),
-        EventuallyPeriodic(w("a"), w("abba")),
-        EventuallyPeriodic(w("ba"), w("ab")),
-        EventuallyPeriodic(w("abb"), w("ba")),
-        fibonacci_stream(),
-        closure_power_stream(),
-        multibonacci_stream(),
-        Periodic(w("aaab")),
-        EventuallyPeriodic(w("bb"), w("aba")),
-    ]
-    # reachable_sets raises internally if the minimum-k cross-check fails
-    for stream in streams:
-        reachable_sets(stream, 5, 120)
-
-
-def test_reachable_sets_unary_word_lists_no_quadratic_span_table():
-    # a^n has n(n+1)/2 palindromic factors; a table of them all by start
-    # peaked at 18.8 MB traced for n = 1000
-    tracemalloc.start()
-    try:
-        sets = reachable_sets(Word("a" * 1000), 2, 1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sets[1] == set(range(1, 1001)) and sets[2] == set(range(2, 1001))
-    assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------- bounds

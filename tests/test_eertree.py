@@ -93,10 +93,11 @@ def test_incremental_append_matches_batch():
     # growth by single appends and by extend chunks of random sizes (empty
     # ones included) must leave the same index as one build
     rng = random.Random(5)
-    for _ in range(300):
+    for trial in range(600):
+        track_left = trial % 2 == 1
         k = rng.randint(1, len(LARGE_SYMBOLS))
         w = tuple(LARGE_SYMBOLS[rng.randrange(k)] for _ in range(rng.randint(1, 120)))
-        grown = PalindromeIndex(track_min=True)
+        grown = PalindromeIndex(track_min=True, track_left=track_left)
         i = 0
         while i < len(w):
             if rng.random() < 0.3:
@@ -106,31 +107,37 @@ def test_incremental_append_matches_batch():
                 step = rng.randint(0, 20)
                 grown.extend(w[i : i + step])
                 i += step
-        batch = PalindromeIndex(w, track_min=True)
+        batch = PalindromeIndex(w, track_min=True, track_left=track_left)
         assert grown.word == batch.word == list(w)
         assert grown.lps == batch.lps
         assert grown.node_count() == batch.node_count()
         assert grown.palindrome_lengths() == batch.palindrome_lengths()
         assert grown.min_factors == batch.min_factors
-        assert grown.left_greedy_counts() == batch.left_greedy_counts()
+        if track_left:
+            assert grown.left_greedy_counts() == batch.left_greedy_counts()
         assert list(grown.suffix_palindrome_lengths(len(w))) == list(
             batch.suffix_palindrome_lengths(len(w))
         )
 
 
-@pytest.mark.parametrize("track_min", [False, True])
+@pytest.mark.parametrize(
+    "track_min, track_left",
+    [(False, False), (True, False), (True, True)],
+    ids=["False", "True", "True-left"],
+)
 @pytest.mark.parametrize("name", ["fib", "multibonacci"])
-def test_index_memory_per_symbol(name, track_min):
+def test_index_memory_per_symbol(name, track_min, track_left):
     # Rich words add a node at almost every position.  With one transition
     # dict per node these builds traced 376-400 bytes per symbol; with one
-    # table per symbol they trace 180-212.
+    # table per symbol they trace 180-212, and the left-greedy state adds
+    # about 20 more.
     if name == "fib":
         w = tuple(fibonacci_stream().prefix(20000))
     else:
         w = tuple(multibonacci(14))
     tracemalloc.start()
     try:
-        idx = PalindromeIndex(w, track_min=track_min)
+        idx = PalindromeIndex(w, track_min=track_min, track_left=track_left)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -170,13 +177,17 @@ def test_shared_eertree_push_pop_walks():
             assert (tree.lens[tree.nodes[-1]] == len(word)) == (word == word[::-1])
 
 
+def left_counts(w):
+    return PalindromeIndex(w, track_min=True, track_left=True).left_greedy_counts()
+
+
 def test_left_greedy_counts_against_scanning_reference():
     rng = random.Random(2015)
     for _ in range(3000):
         alphabet = rng.randint(1, 4)
         w = tuple(rng.randrange(alphabet) for _ in range(rng.randint(1, 40)))
         want = [brute_lgpal(w[:m]) for m in range(1, len(w) + 1)]
-        assert PalindromeIndex(w).left_greedy_counts() == want
+        assert left_counts(w) == want
 
 
 def test_left_greedy_counts_against_single_word_exhaustive():
@@ -185,13 +196,51 @@ def test_left_greedy_counts_against_single_word_exhaustive():
     for bits in range(2**12):
         w = tuple((bits >> i) & 1 for i in range(12))
         want = [lgpal(w[:m])[0] for m in range(1, 13)]
-        assert PalindromeIndex(w).left_greedy_counts() == want
+        assert left_counts(w) == want
+
+
+def test_left_greedy_counts_every_ternary_word():
+    # the prefixes of the length-8 words cover every ternary word up to 8
+    for code in range(3**8):
+        w = []
+        for _ in range(8):
+            code, c = divmod(code, 3)
+            w.append(c)
+        assert left_counts(w) == [brute_lgpal(w[:m]) for m in range(1, 9)]
+
+
+def test_left_greedy_counts_on_runs_and_large_symbols():
+    # Runs of one letter are the groups whose memo cannot see the newest
+    # cut (the previous position); a^k, (a^k b)^n and (abbb)^n stress them,
+    # with symbols as large as 10**18.
+    for a, b in ((0, 1), (10**18, 2**40)):
+        words = [(a,) * k for k in range(1, 40)]
+        words += [((a,) * k + (b,)) * n for k in range(1, 12) for n in range(1, 6)]
+        words += [(a, b, b, b) * n for n in range(1, 12)]
+        for w in words:
+            want = [brute_lgpal(w[:m]) for m in range(1, len(w) + 1)]
+            assert left_counts(w) == want
+    rng = random.Random(18)
+    for _ in range(300):
+        k = rng.randint(1, len(LARGE_SYMBOLS))
+        w = []
+        while len(w) < 60:
+            w += [LARGE_SYMBOLS[rng.randrange(k)]] * rng.randint(1, 8)
+        want = [brute_lgpal(w[:m]) for m in range(1, len(w) + 1)]
+        assert left_counts(w) == want
 
 
 def test_left_greedy_counts_examples():
-    assert PalindromeIndex(Word("abaab")).left_greedy_counts() == [1, 2, 1, 2, 3]
-    assert PalindromeIndex(Word("aaaa")).left_greedy_counts() == [1, 1, 1, 1]
-    assert PalindromeIndex(Word()).left_greedy_counts() == []
+    assert left_counts(Word("abaab")) == [1, 2, 1, 2, 3]
+    assert left_counts(Word("aaaa")) == [1, 1, 1, 1]
+    assert left_counts(Word()) == []
+
+
+def test_left_greedy_counts_need_the_flag():
+    for idx in (PalindromeIndex((0, 1, 0)), PalindromeIndex((0, 1, 0), track_min=True)):
+        with pytest.raises(ValueError, match="track_left"):
+            idx.left_greedy_counts()
+    assert PalindromeIndex((0, 1, 0), track_left=True).min_factors == [0, 1, 2, 1]
 
 
 def test_palindromic_prefixes_periodic():
