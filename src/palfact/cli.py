@@ -24,6 +24,9 @@ from .words import Word, render, render_style
 
 SCHEMA_VERSION = 1
 
+# Text of the small ints that count arrays hold, looked up in C by ``_dump``.
+_SMALL_INTS = {i: repr(i) for i in range(1024)}
+
 
 def _emit(text: str | list[str], out_path: str | None) -> None:
     """Write ``text``, or the pieces of a JSON document in order, to
@@ -72,7 +75,10 @@ def _dump(obj, indent: str, memo: dict, out: list) -> None:
         sep = ",\n" + inner
         out.append("[\n" + inner)
         if kinds == {int}:
-            out.append(sep.join(map(int.__repr__, obj)))
+            try:
+                out.append(sep.join(map(_SMALL_INTS.__getitem__, obj)))
+            except KeyError:  # a negative or a large int
+                out.append(sep.join(map(int.__repr__, obj)))
         elif (kinds <= {list, tuple} and obj[0] and type(obj[0][0]) is int
               and (texts := _rows(obj, inner, memo)) is not None):
             # rows of ints, such as the spans of one decomposition

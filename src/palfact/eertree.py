@@ -18,6 +18,17 @@ hold one entry per node, where one dict per node cost at least an empty dict
 almost every position, so this halves an index's memory.  Keys are the
 symbols themselves, so symbols stay unbounded non-negative ints.
 
+Instead of each node's difference ``len(v) - len(link(v))`` the index keeps
+``short[v]``, the length of the shortest member of v's series group, which
+is all the walks read: when v is a palindromic suffix of the prefix of
+length n, so is every member of its group, and the shortest one starts at
+``n - short[v]``.  A node alone in its group stores its own length object,
+any other the one of its suffix link, so the column makes no int objects of
+its own.  ``word[0]`` is a sentinel (``None``, equal to no symbol) and
+symbol k sits at ``word[k + 1]``, so the insertion walks need no bounds
+test.  ``lps`` is not kept by the build: it is read off the node of each
+position when asked for.
+
 The structure is single-writer: ``append``/``extend`` grow it, concurrent
 reads of already-indexed positions are safe between writes.
 """
@@ -39,15 +50,16 @@ class PalindromeIndex:
     ``left_greedy_counts()`` in the same walk, for a memo per node, a byte
     per position and the current prefix's factor starts.
 
-    Per-node data are parallel lists (length, suffix link, difference,
-    series link); ``_trans[c][v]`` is the child of node v by symbol c.
+    Per-node data are parallel lists (length, suffix link, shortest length
+    in the series group, series link); ``_trans[c][v]`` is the child of
+    node v by symbol c.
     """
 
     __slots__ = (
         "_word",
         "_len",
         "_link",
-        "_diff",
+        "_short",
         "_qlink",
         "_trans",
         "_node_at",
@@ -63,10 +75,10 @@ class PalindromeIndex:
 
     def __init__(self, symbols: Sequence[int] = (), track_min: bool = False,
                  track_left: bool = False):
-        self._word: list[int] = []
+        self._word: list[int | None] = [None]  # sentinel; symbol k at k + 1
         self._len = [-1, 0]
         self._link = [0, 0]
-        self._diff = [0, 0]
+        self._short = [0, 0]
         self._qlink = [0, 0]
         self._trans: dict[int, dict[int, int]] = {}
         self._node_at: list[int] = []
@@ -83,17 +95,28 @@ class PalindromeIndex:
             self.extend(symbols)
 
     def __len__(self) -> int:
-        return len(self._word)
+        return len(self._node_at)
 
     @property
     def word(self) -> list[int]:
-        """Indexed symbols. Treat as read-only."""
-        return self._word
+        """A copy of the indexed symbols."""
+        return self._word[1:]
 
     @property
     def lps(self) -> list[int]:
-        """Longest palindromic suffix length per position. Read-only."""
-        return self._lps
+        """Longest palindromic suffix length per position. Read-only.
+
+        Built when read, from the node of each position; a list returned
+        earlier is the same object, brought up to date by this read.  The
+        update is a slice assignment, so readers racing between writes
+        store the same values instead of appending them twice.
+        """
+        lps = self._lps
+        node_at = self._node_at
+        k = len(lps)
+        if k < len(node_at):
+            lps[k:] = map(self._len.__getitem__, node_at[k:] if k else node_at)
+        return lps
 
     @property
     def min_factors(self) -> list[int]:
@@ -141,11 +164,10 @@ class PalindromeIndex:
         word = self._word
         lens = self._len
         link = self._link
-        diff = self._diff
+        short = self._short
         qlink = self._qlink
         trans = self._trans
         node_at = self._node_at
-        lps = self._lps
         last = self._last
         dp = self._min_dp
         track = dp is not None
@@ -155,37 +177,42 @@ class PalindromeIndex:
         lans = self._left_ans
         cuts = self._cuts
         is_cut = self._is_cut
-        n = len(word)
+        n = len(word) - 1
         for c in symbols:
+            # c sits at word[n + 1]; a suffix palindrome of length l can grow
+            # by c when word[n - l] is c (the imaginary root always can, the
+            # sentinel never)
             word.append(c)
             v = last
-            while True:
-                j = n - lens[v] - 1
-                if j >= 0 and word[j] == c:
-                    break
+            while word[n - lens[v]] != c:
                 v = link[v]
             tc = trans.get(c)
             if tc is None:
                 tc = trans[c] = {}
             nxt = tc.get(v)
             if nxt is None:
-                if v == 0:
-                    lk = 1
-                else:
-                    u = link[v]
-                    while True:
-                        j = n - lens[u] - 1
-                        if j >= 0 and word[j] == c:
-                            break
-                        u = link[u]
-                    lk = tc[u]
                 nxt = len(lens)
                 newlen = lens[v] + 2
+                if v == 0:  # a single letter: a group of its own
+                    lk = 1
+                    q = 1
+                    sh = newlen
+                else:
+                    u = link[v]
+                    while word[n - lens[u]] != c:
+                        u = link[u]
+                    lk = tc[u]
+                    ll = lens[lk]
+                    if newlen - ll != ll - lens[link[lk]]:
+                        q = lk
+                        sh = newlen
+                    else:
+                        q = qlink[lk]
+                        sh = short[lk]
                 lens.append(newlen)
                 link.append(lk)
-                d = newlen - lens[lk]
-                diff.append(d)
-                qlink.append(lk if d != diff[lk] else qlink[lk])
+                short.append(sh)
+                qlink.append(q)
                 tc[v] = nxt
                 if track:
                     sans.append(0)
@@ -194,7 +221,6 @@ class PalindromeIndex:
             last = nxt
             n += 1
             node_at.append(nxt)
-            lps.append(lens[nxt])
             if left:
                 # The next branch's walk plus the memo of left_greedy_counts
                 # (see there).  is_cut[-1] is position n - 1's slot: 0.
@@ -205,7 +231,7 @@ class PalindromeIndex:
                 vv = nxt
                 while vv > 1:
                     q = qlink[vv]
-                    x = n - lens[q] - diff[vv]
+                    x = n - short[vv]
                     cand = dp[x]
                     lv = link[vv]
                     if q != lv:
@@ -244,7 +270,7 @@ class PalindromeIndex:
                 vv = nxt
                 while vv > 1:
                     q = qlink[vv]
-                    cand = dp[n - lens[q] - diff[vv]]
+                    cand = dp[n - short[vv]]
                     lv = link[vv]
                     if q != lv:
                         alt = sans[lv]
@@ -277,19 +303,18 @@ class PalindromeIndex:
         if prefix_len <= 0 or cap <= 0:
             return 0
         lens = self._len
-        diff = self._diff
+        link = self._link
+        short = self._short
         qlink = self._qlink
         v = self._node_at[prefix_len - 1]
         while True:
             plen = lens[v]
             if plen <= cap:
                 return plen if plen > 0 else 0
-            q = qlink[v]
-            d = diff[v]
-            shortest = lens[q] + d
-            if shortest > cap:
-                v = q
+            if short[v] > cap:
+                v = qlink[v]
             else:
+                d = plen - lens[link[v]]
                 k = (plen - cap + d - 1) // d
                 return plen - k * d
 

@@ -118,7 +118,8 @@ def lgpal_profile(w: Sequence[int]) -> list[int]:
     """Left-greedy count of every prefix, in O(n log n) on one forward index.
 
     See ``PalindromeIndex.left_greedy_counts``.  A random binary word of
-    length 10**6 takes 1.1-1.3 s, build included (2-vCPU x86, Python 3.11).
+    length 10**6 takes 0.7-0.9 s and the Fibonacci word 5.2-6.5 s, build
+    included (2-vCPU x86, Python 3.11).
     """
     return PalindromeIndex(w, track_min=True, track_left=True).left_greedy_counts()
 

@@ -15,28 +15,39 @@ class PrefixProfile:
     """Per-prefix record for prefixes 1..horizon of one word or stream.
 
     ``first_attainment[k]`` is the least prefix length whose minimum
-    palindromic factor count equals k (None when not attained).
+    palindromic factor count equals k (None when not attained).  The
+    running maxima ``max_*`` are computed when read; only CSV prints them.
     """
 
     word_spec: str
     pal: list[int]
     lgpal: list[int]
     rgpal: list[int]
-    max_pal: list[int]
-    max_lgpal: list[int]
-    max_rgpal: list[int]
     first_attainment: dict[int, int | None] = field(default_factory=dict)
 
     @property
     def horizon(self) -> int:
         return len(self.pal)
 
+    @property
+    def max_pal(self) -> list[int]:
+        return running_max(self.pal)
+
+    @property
+    def max_lgpal(self) -> list[int]:
+        return running_max(self.lgpal)
+
+    @property
+    def max_rgpal(self) -> list[int]:
+        return running_max(self.rgpal)
+
     def to_csv(self) -> str:
         lines = ["n,pal,lgpal,rgpal,max_pal,max_lgpal,max_rgpal"]
+        max_pal, max_lgpal, max_rgpal = self.max_pal, self.max_lgpal, self.max_rgpal
         for i in range(self.horizon):
             lines.append(
                 f"{i + 1},{self.pal[i]},{self.lgpal[i]},{self.rgpal[i]},"
-                f"{self.max_pal[i]},{self.max_lgpal[i]},{self.max_rgpal[i]}"
+                f"{max_pal[i]},{max_lgpal[i]},{max_rgpal[i]}"
             )
         attained = [
             str(self.first_attainment[k])
@@ -53,9 +64,9 @@ class PrefixProfile:
             "pal": self.pal,
             "lgpal": self.lgpal,
             "rgpal": self.rgpal,
-            "max_pal": self.max_pal[-1] if self.pal else 0,
-            "max_lgpal": self.max_lgpal[-1] if self.lgpal else 0,
-            "max_rgpal": self.max_rgpal[-1] if self.rgpal else 0,
+            "max_pal": max(self.pal, default=0),
+            "max_lgpal": max(self.lgpal, default=0),
+            "max_rgpal": max(self.rgpal, default=0),
             "first_attainment": {
                 str(k): v for k, v in sorted(self.first_attainment.items())
             },
@@ -74,14 +85,10 @@ def build_profile(stream, horizon: int) -> PrefixProfile:
     rg = right_greedy_counts(idx.lps)
     lg = idx.left_greedy_counts()
     del idx
-    max_pal = running_max(pal)
     return PrefixProfile(
         word_spec=spec_of(stream),
         pal=pal,
         lgpal=lg,
         rgpal=rg,
-        max_pal=max_pal,
-        max_lgpal=running_max(lg),
-        max_rgpal=running_max(rg),
-        first_attainment=_first_hits(pal, max_pal[-1] if max_pal else 0),
+        first_attainment=_first_hits(pal, max(pal, default=0)),
     )

@@ -2,24 +2,25 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter, le, sub
 from typing import Iterable, Sequence, Union
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_TEXT = re.compile("[a-z0-9]*")
+_TEXT_SYMBOLS = bytes.maketrans(_LETTERS.encode() + b"0123456789",
+                                bytes(range(26)) + bytes(range(10)))
 
 
 def _symbols_from_text(text: str) -> tuple[int, ...]:
-    out = []
-    for ch in text:
-        if "a" <= ch <= "z":
-            out.append(ord(ch) - 97)
-        elif "0" <= ch <= "9":
-            out.append(int(ch))
-        else:
-            raise ValueError(f"cannot map character {ch!r} to a symbol")
-    return tuple(out)
+    """Letters a..z as 0..25 and digits as their values, mapped in C."""
+    if text.isascii() and _TEXT.fullmatch(text):
+        return tuple(text.encode("ascii").translate(_TEXT_SYMBOLS))
+    bad = next(ch for ch in text if not ("a" <= ch <= "z" or "0" <= ch <= "9"))
+    raise ValueError(f"cannot map character {bad!r} to a symbol")
 
 
 class Word(tuple):
@@ -35,11 +36,13 @@ class Word(tuple):
 
     def __new__(cls, symbols: Union[str, Iterable[int]] = ()):
         if isinstance(symbols, str):
-            symbols = _symbols_from_text(symbols)
+            return super().__new__(cls, _symbols_from_text(symbols))
         w = super().__new__(cls, symbols)
-        for s in w:
-            if not isinstance(s, int) or s < 0:
-                raise ValueError(f"symbols must be non-negative ints, got {s!r}")
+        # checked in C; the loop only finds the first bad symbol to name it
+        if w and not (all(map(isinstance, w, repeat(int))) and min(w) >= 0):
+            for s in w:
+                if not isinstance(s, int) or s < 0:
+                    raise ValueError(f"symbols must be non-negative ints, got {s!r}")
         return w
 
     def __repr__(self) -> str:

@@ -13,8 +13,10 @@ import pytest
 
 import palfact.analysis
 import palfact.cli
-from palfact import Periodic, Word, classify_bound2, search_prefix_floor
+from palfact import Periodic, Word, build_profile, classify_bound2, search_prefix_floor
 from palfact.cli import _json_doc, main
+from palfact.greedy import running_max
+from palfact.streams import parse_spec
 
 
 def run_cli(capsys, *argv):
@@ -499,6 +501,45 @@ def test_json_writer_matches_json_dumps():
                for i in range(rng.randrange(5))}
         expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
         assert "".join(_json_doc(doc)) == expected
+
+
+SMALL_INTS_TOP = max(palfact.cli._SMALL_INTS)
+
+
+@pytest.mark.parametrize("values", [
+    [0],
+    [3, 0, 7],
+    [SMALL_INTS_TOP, SMALL_INTS_TOP + 1],
+    [SMALL_INTS_TOP + 1, 1],
+    [1, 10**18],
+    [2, -1, 0],
+    [1, Side.RIGHT],
+    [Side.LEFT],
+    [True, False],
+    [],
+], ids=["zero", "small", "table-edge", "past-table-first", "huge", "negative",
+        "int-enum", "int-enum-only", "bools", "empty"])
+def test_json_writer_renders_int_lists_like_json_dumps(values):
+    # int lists render from a table of small ints; anything else must fall
+    # back without changing a byte
+    for obj in (values, {"a": values, "b": [values, values]}):
+        out = []
+        palfact.cli._dump(obj, "", {}, out)
+        assert "".join(out) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("spec,horizon", [("fib", 0), ("lit:", 5), ("fib", 300),
+                                          ("lit:abaababba", 9), ("U", 200)])
+def test_profile_maxima_are_running_maxima(spec, horizon):
+    prof = build_profile(parse_spec(spec, None), horizon)
+    assert prof.horizon == len(prof.pal) == len(prof.lgpal) == len(prof.rgpal)
+    for counts, maxima in ((prof.pal, prof.max_pal), (prof.lgpal, prof.max_lgpal),
+                           (prof.rgpal, prof.max_rgpal)):
+        assert maxima == running_max(counts)
+        assert len(maxima) == prof.horizon
+    doc = prof.to_json()
+    assert (doc["max_pal"], doc["max_lgpal"], doc["max_rgpal"]) == tuple(
+        m[-1] if m else 0 for m in (prof.max_pal, prof.max_lgpal, prof.max_rgpal))
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -89,6 +89,18 @@ def test_large_symbols_against_oracles():
         assert idx.node_count() == len(brute_distinct_palindromes(w))
 
 
+def test_negative_symbols_never_match_the_sentinel():
+    # the word starts with a sentinel slot that no symbol may equal; raw
+    # symbols are not checked, so a -1 sentinel would have matched here
+    for w in ((-1, 0, -1), (-1,), (-1, -1), (0, -1, -1, 0), (0, -1, 0, 0, -1)):
+        idx = PalindromeIndex(w, track_min=True, track_left=True)
+        assert idx.lps == brute_lps_array(w)
+        assert idx.min_factors == brute_pal_table(w)
+        assert idx.left_greedy_counts() == [lgpal(w[:k])[0] for k in range(1, len(w) + 1)]
+        assert idx.node_count() == len(brute_distinct_palindromes(w))
+        assert idx.word == list(w) and len(idx) == len(w)
+
+
 def test_incremental_append_matches_batch():
     # growth by single appends and by extend chunks of random sizes (empty
     # ones included) must leave the same index as one build
@@ -97,17 +109,25 @@ def test_incremental_append_matches_batch():
         track_left = trial % 2 == 1
         k = rng.randint(1, len(LARGE_SYMBOLS))
         w = tuple(LARGE_SYMBOLS[rng.randrange(k)] for _ in range(rng.randint(1, 120)))
+        batch = PalindromeIndex(w, track_min=True, track_left=track_left)
         grown = PalindromeIndex(track_min=True, track_left=track_left)
         i = 0
         while i < len(w):
+            # lps is built when read: a list read before a step is the one
+            # the next read brings up to date
+            held = grown.lps if rng.random() < 0.5 else None
             if rng.random() < 0.3:
                 grown.append(w[i])
                 i += 1
             else:
                 step = rng.randint(0, 20)
                 grown.extend(w[i : i + step])
-                i += step
-        batch = PalindromeIndex(w, track_min=True, track_left=track_left)
+                i = min(i + step, len(w))
+            assert len(grown) == i
+            assert grown.word == list(w[:i])
+            if held is not None:
+                assert grown.lps is held
+                assert held == batch.lps[:i]
         assert grown.word == batch.word == list(w)
         assert grown.lps == batch.lps
         assert grown.node_count() == batch.node_count()

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -28,6 +29,31 @@ def test_word_construction_from_text():
         Word("ab!")
     with pytest.raises(ValueError):
         Word([1, -2])
+
+
+class Letter(IntEnum):
+    A = 0
+    Z = 25
+
+
+def test_word_text_and_symbol_checks_name_the_first_bad_input():
+    # text is mapped and symbols are checked in C; the messages still name
+    # the first offending character or symbol
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+    assert Word(alphabet) == tuple(range(26)) + tuple(range(10))
+    assert Word("") == ()
+    for text, bad in (("abA", "A"), ("aéb!", "é"), ("12 3", " "),
+                      ("١", "١"), ("ab\n", "\n")):
+        with pytest.raises(ValueError) as exc:
+            Word(text)
+        assert str(exc.value) == f"cannot map character {bad!r} to a symbol"
+    for symbols, bad in (([1, -2, "x"], -2), ([0, "x", -1], "x"), ([2.0], 2.0),
+                         ([3, None], None), ([-(10**18)], -(10**18))):
+        with pytest.raises(ValueError) as exc:
+            Word(symbols)
+        assert str(exc.value) == f"symbols must be non-negative ints, got {bad!r}"
+    assert Word([True, False, 10**18]) == (1, 0, 10**18)
+    assert Word([Letter.Z, Letter.A]) == (25, 0)
 
 
 def test_word_rendering():
