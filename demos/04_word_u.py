@@ -21,8 +21,8 @@ U = word_u_stream()
 print("U =", U.prefix(40), "...\n")
 
 for n in range(4):
-    un, ok = word_u_component(n)
-    print(f"u_{n}: length {len(un)} (= 4*3^{n} - 2: {ok})")
+    un = word_u_component(n)
+    print(f"u_{n}: length {len(un)} (= 4*3^{n} - 2: {len(un) == 4 * 3**n - 2})")
 print()
 
 seq = palindromic_prefixes(U, 10_000)

@@ -13,7 +13,7 @@ from .engine import gap_sequence, palindromic_prefix_lengths
 from .errors import AmbiguousHorizon
 from .pallen import pal_dp
 from .streams import materialize, spec_of
-from .words import Word
+from .words import Word, is_palindrome
 
 
 def _windowed_factor_max(w: Sequence[int], window: int) -> int:
@@ -161,7 +161,7 @@ def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
 
     tree = SharedEertree()
     push = tree.push
-    pop = tree.pop
+    truncate = tree.truncate
     word = tree.word
     nodes = tree.nodes
     dp = tree.dp
@@ -173,7 +173,7 @@ def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
     def grow(c: int) -> int:
         val = push(c)
         r, m0, m1 = runs[-1]
-        if len(word) > 1 and word[-2] == c:
+        if word[-2] == c:  # word[0] is a sentinel, equal to no symbol
             runs.append((r + 1, m0, m1))
         elif c:  # a 1-run opens after a 0-run
             runs.append((1, max(m0, r), m1))
@@ -209,8 +209,7 @@ def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
             c = 1 - c
         elif frames:
             length, closed, found = frames.pop()
-            while len(word) > length:
-                pop()
+            truncate(length)
             del runs[length + 1 :]
             if closed:
                 continue
@@ -232,9 +231,9 @@ def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
         # the search appends only 0 and 1, so the words need no symbol check
         if lens[nodes[-1]] == length:
             if length > base_len:
-                members.append(tuple.__new__(Word, word))
+                members.append(tuple.__new__(Word, word[1:]))
         elif length == max_len:
-            opens.append(tuple.__new__(Word, word))
+            opens.append(tuple.__new__(Word, word[1:]))
         else:
             explore = True
     members.sort(key=lambda w: (len(w), w))
@@ -245,8 +244,6 @@ def enumerate_next(u: Sequence[int], max_len: int) -> NextSet:
 def validate_next_member(u: Sequence[int], pi: Sequence[int]) -> bool:
     """Re-check the three membership conditions directly, independently of
     the enumeration's pruning."""
-    from .words import is_palindrome
-
     base = tuple(u)
     cand = tuple(pi)
     if not is_palindrome(cand):

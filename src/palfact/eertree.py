@@ -31,6 +31,11 @@ position when asked for.
 
 The structure is single-writer: ``append``/``extend`` grow it, concurrent
 reads of already-indexed positions are safe between writes.
+
+``SharedEertree`` is the backtracking searches' tree: the same length, link
+and transition columns (no series links) and the same sentinel word, for one
+branch that ``push`` grows a symbol at a time and ``truncate`` cuts back.
+Nodes outlive the branch that made them, so every branch shares them.
 """
 
 from __future__ import annotations
@@ -325,12 +330,16 @@ class SharedEertree:
     A node is identified by its palindrome's symbol content, so lengths,
     suffix links and transitions computed while exploring one branch remain
     valid on every other branch over the same alphabet.  The tree also owns
-    the branch: ``word``, ``nodes`` (the longest-palindromic-suffix node per
-    prefix length, ``nodes[0]`` the empty root) and ``dp`` (the minimum
-    palindromic factor count per prefix length), which ``push`` and ``pop``
-    grow and shrink together.  The prefix of length ``n`` is a palindrome
-    exactly when ``lens[nodes[n]] == n``.  Transitions use the same layout
-    as ``PalindromeIndex``: ``trans[c][v]`` is the child of node v by c.
+    the branch, in three lists indexed by prefix length and kept equally
+    long: ``word`` (``word[0]`` is the ``None`` sentinel of
+    ``PalindromeIndex``, symbol k sits at ``word[k + 1]``), ``nodes`` (the
+    longest-palindromic-suffix node per prefix length, ``nodes[0]`` the
+    empty root) and ``dp`` (the minimum palindromic factor count per prefix
+    length).  ``push`` grows all three by one symbol and ``truncate`` cuts
+    them back to a shorter branch; the nodes a cut branch created stay for
+    reuse.  The prefix of length ``n`` is a palindrome exactly when
+    ``lens[nodes[n]] == n``.  Transitions use the same layout as
+    ``PalindromeIndex``: ``trans[c][v]`` is the child of node v by c.
     """
 
     __slots__ = ("lens", "link", "trans", "word", "nodes", "dp")
@@ -339,23 +348,23 @@ class SharedEertree:
         self.lens = [-1, 0]
         self.link = [0, 0]
         self.trans: dict[int, dict[int, int]] = {}
-        self.word: list[int] = []
+        self.word: list[int | None] = [None]
         self.nodes = [1]
         self.dp = [0]
 
-    def advance(self, word: Sequence[int], last: int) -> int:
-        """Node of the longest palindromic suffix after the caller appended
-        the final symbol of ``word``."""
+    def advance(self, c: int) -> int:
+        """Append ``c`` to ``word`` and the node of the new longest
+        palindromic suffix to ``nodes``; return that node.  ``dp`` is left
+        to the caller (see ``push``)."""
+        word = self.word
         lens = self.lens
         link = self.link
         trans = self.trans
-        pos = len(word) - 1
-        c = word[pos]
-        v = last
-        while True:
-            j = pos - lens[v] - 1
-            if j >= 0 and word[j] == c:
-                break
+        nodes = self.nodes
+        n = len(word) - 1
+        word.append(c)
+        v = nodes[-1]
+        while word[n - lens[v]] != c:
             v = link[v]
         tc = trans.get(c)
         if tc is None:
@@ -366,32 +375,26 @@ class SharedEertree:
                 lk = 1
             else:
                 u = link[v]
-                while True:
-                    j = pos - lens[u] - 1
-                    if j >= 0 and word[j] == c:
-                        break
+                while word[n - lens[u]] != c:
                     u = link[u]
                 lk = tc[u]
             nxt = len(lens)
             lens.append(lens[v] + 2)
             link.append(lk)
             tc[v] = nxt
+        nodes.append(nxt)
         return nxt
 
     def push(self, c: int) -> int:
         """Append ``c`` to the branch; return the new prefix's minimum
         palindromic factor count, one plus the least ``dp[n - s]`` over its
         palindromic suffix lengths ``s``."""
-        word = self.word
-        word.append(c)
-        node = self.advance(word, self.nodes[-1])
-        self.nodes.append(node)
+        v = self.advance(c)
         lens = self.lens
         link = self.link
         dp = self.dp
-        n = len(word)
+        n = len(dp)
         best = n
-        v = node
         while lens[v] > 0:
             x = dp[n - lens[v]]
             if x < best:
@@ -401,8 +404,8 @@ class SharedEertree:
         dp.append(best)
         return best
 
-    def pop(self) -> None:
-        """Undo the last ``push``; the nodes it created stay for reuse."""
-        self.word.pop()
-        self.nodes.pop()
-        self.dp.pop()
+    def truncate(self, length: int) -> None:
+        """Cut the branch back to its prefix of ``length`` symbols."""
+        del self.word[length + 1 :]
+        del self.nodes[length + 1 :]
+        del self.dp[length + 1 :]

@@ -68,7 +68,7 @@ def gap_sequence(seq) -> GapSequence:
     non-decreasing; a decrease is a genuine counterexample and callers treat
     it as a failure, not a flag.
     """
-    lengths = tuple(seq.lengths) if isinstance(seq, PalindromicPrefixSeq) else tuple(seq)
+    lengths = tuple(seq)
     if len(lengths) < 2:
         raise ValueError("gap sequence needs at least two palindromic prefixes")
     gaps = tuple(b - a for a, b in zip(lengths, lengths[1:]))

@@ -16,7 +16,7 @@ from itertools import chain, count, cycle, islice
 from typing import Callable, Sequence
 
 from .errors import CapExceeded, ParseError
-from .words import Word, is_palindrome, mirror
+from .words import Word
 
 DEFAULT_CAP = 10**8
 
@@ -230,21 +230,15 @@ def u_ladder_periodic(n: int, cap: int | None = None) -> Periodic:
     return Periodic(u + v, cap, name=f"uladderper:{n}")
 
 
-def word_u_component(n: int, cap: int | None = None) -> tuple[Word, bool]:
-    """n-th building block of the word U, with its structural check.
-
-    Returns (u_n, ok) where ok asserts |u_n| = 4*3**n - 2 and that
-    u_n reverse(u_n) is a palindrome.
-    """
+def word_u_component(n: int, cap: int | None = None) -> Word:
+    """n-th building block u_n of the word U, of length 4*3**n - 2."""
     if n < 0:
         raise ValueError("component index must be >= 0")
     _check_cap(4 * 3**n - 2, cap)
     u = [0, 0]
     for _ in range(n):
         u = u + [1, 1, 0, 1] + u + u[::-1]
-    w = Word(u)
-    ok = len(w) == 4 * 3**n - 2 and is_palindrome(w + mirror(w))
-    return w, ok
+    return Word(u)
 
 
 def _parse_int(text: str, token: str) -> int:

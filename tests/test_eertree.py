@@ -180,20 +180,24 @@ def test_longest_suffix_leq_against_spans():
 
 
 def test_shared_eertree_push_pop_walks():
-    # seeded walks that grow and shrink one branch (kept under 80 letters);
-    # after every step the table and palindrome test match a fresh computation
+    # seeded walks that grow one branch (kept under 80 letters) and cut it
+    # back by one symbol or to a random shorter length; after every step the
+    # table and palindrome test match a fresh computation.  The raw symbol
+    # -1 guards the sentinel at word[0].
     rng = random.Random(11)
-    for alphabet in ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), LARGE_SYMBOLS):
+    for alphabet in ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (-1, 0), LARGE_SYMBOLS):
         tree = SharedEertree()
         for _ in range(2000):
-            if tree.word and (rng.random() < 0.4 or len(tree.word) == 80):
-                tree.pop()
+            n = len(tree.word) - 1
+            r = rng.random()
+            if n and (r < 0.4 or n == 80):
+                tree.truncate(n - 1 if r < 0.3 else rng.randrange(n))
             else:
                 val = tree.push(rng.choice(alphabet))
                 assert val == tree.dp[-1]
-            word = tree.word
+            word = tree.word[1:]
+            assert len(tree.word) == len(tree.nodes) == len(tree.dp)
             assert tuple(tree.dp) == pal_dp(word)[1].values
-            assert len(tree.nodes) == len(word) + 1
             assert (tree.lens[tree.nodes[-1]] == len(word)) == (word == word[::-1])
 
 

@@ -17,6 +17,8 @@ from palfact import (
     verify_u_suffixes,
     prefix_floor_witness,
 )
+from palfact import experiments
+from palfact.cli import main
 from palfact.eertree import PalindromeIndex, SharedEertree
 from palfact.experiments import (
     SUITES,
@@ -29,7 +31,7 @@ from palfact.experiments import (
 def test_occurrence_balance_passes():
     result = verify_occurrence_balance(6)
     assert result.ok
-    # one structural claim per level
+    # one balance claim per level
     assert len(result.claims) == 7
 
 
@@ -82,9 +84,10 @@ def test_search_budget():
 
 def recursive_lower_bound_provable(k, b, depth, node_budget):
     """Reference: the canonical search by recursion over symbols, keeping
-    its own branch state next to the tree's shared nodes."""
+    its own minimum-factor table and suffix-chain minimum next to the tree's
+    shared nodes, so it shares no code with ``SharedEertree.push``."""
     tree = SharedEertree()
-    word, nodes, dp = [], [1], [0]
+    dp = [0]
     budget = [node_budget]
 
     def rec(used, run_open, maxpal):
@@ -93,14 +96,11 @@ def recursive_lower_bound_provable(k, b, depth, node_budget):
             raise SearchCapExceeded("budget", nodes=node_budget)
         if maxpal >= b:
             return True
-        length = len(word)
+        length = len(dp) - 1
         if length == depth:
             return not (used == k and (k == 1 or not run_open))
         for c in range(used + 1 if used < k else k):
-            word.append(c)
-            node = tree.advance(word, nodes[-1])
-            nodes.append(node)
-            v, best = node, length + 1
+            v, best = tree.advance(c), length + 1
             while tree.lens[v] > 0:
                 best = min(best, dp[length + 1 - tree.lens[v]])
                 v = tree.link[v]
@@ -108,8 +108,7 @@ def recursive_lower_bound_provable(k, b, depth, node_budget):
             new_used = used + 1 if c == used else used
             new_open = (c == used == k - 1) or (run_open and c == k - 1)
             ok = rec(new_used, new_open, max(maxpal, best + 1))
-            word.pop()
-            nodes.pop()
+            tree.truncate(length)
             dp.pop()
             if not ok:
                 return False
@@ -210,6 +209,27 @@ def test_greedy_suite_catches_an_off_by_one_left_greedy_walk(monkeypatch):
     assert not result.ok
     failed = {c.description for c in result.failures()}
     assert "left-greedy equals right-greedy of the reversal" in failed
+
+
+def test_greedy_suite_counts_a_raising_gap_witness_as_a_failed_floor(monkeypatch, capsys):
+    # gap_witness raises when the minimum exceeds a greedy count; the suite
+    # must report that as a failed claim, not end in a traceback
+    original = experiments.gap_witness
+
+    def undercut(w):
+        if w == Word("abb"):
+            raise RuntimeError("greedy counts undercut the minimum")
+        return original(w)
+
+    monkeypatch.setattr(experiments, "gap_witness", undercut)
+    result = SUITES["greedy"]()
+    failed = {c.description for c in result.failures()}
+    assert failed == {"minimum <= both greedy counts on all binary words up to "
+                      "length 12"}
+    assert main(["verify", "greedy"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] greedy: minimum <= both greedy counts" in out
+    assert "observed=1)" in out
 
 
 def test_all_suites_registered():

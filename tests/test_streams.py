@@ -76,15 +76,12 @@ def test_word_u_prefix():
 
 
 def test_word_u_components():
-    u0, ok0 = word_u_component(0)
-    assert u0 == Word("aa") and ok0
-    u1, ok1 = word_u_component(1)
-    assert u1 == Word("aabbabaaaa") and len(u1) == 10 and ok1
-    u2, ok2 = word_u_component(2)
-    assert len(u2) == 34 and ok2
+    assert word_u_component(0) == Word("aa")
+    u1 = word_u_component(1)
+    assert u1 == Word("aabbabaaaa") and len(u1) == 10
+    assert len(word_u_component(2)) == 34
     for n in range(5):
-        un, ok = word_u_component(n)
-        assert ok
+        un = word_u_component(n)
         assert len(un) == 4 * 3**n - 2
         assert is_palindrome(un + mirror(un))
 
@@ -264,9 +261,9 @@ def test_buffer_holds_exactly_the_longest_prefix_asked_for(kind):
 def test_word_u_prefixes_are_its_components():
     stream = word_u_stream()
     for n in (6, 0, 3, 1, 5, 2, 4):
-        u, _ = word_u_component(n)
+        u = word_u_component(n)
         assert stream.prefix(len(u)) == u
-    u6 = word_u_component(6)[0]
+    u6 = word_u_component(6)
     assert stream.prefix(1000) == u6[:1000]
 
 
