@@ -14,7 +14,8 @@ from itertools import chain, compress, repeat
 from operator import is_
 
 from .analysis import bound_report, classify_bound2, enumerate_next
-from .errors import AmbiguousHorizon, CapExceeded, ParseError, SearchCapExceeded
+from .errors import (AmbiguousHorizon, CapExceeded, ParseError, SearchCapExceeded,
+                     WorkerDied)
 from .experiments import EXPERIMENTS, SUITES, run_suites
 from .greedy import gap_witness
 from .pallen import minimal_factorizations
@@ -294,9 +295,9 @@ def cmd_next(args) -> int:
 
 
 def _suite_names(tokens: list[str], universe) -> list[str]:
-    if not tokens or tokens == ["all"]:
-        return sorted(universe)
-    return tokens
+    """The named suites, with ``all`` (or no name) standing for every one."""
+    return [name for token in tokens or ["all"]
+            for name in (universe if token == "all" else (token,))]
 
 
 def cmd_verify(args) -> int:
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
                              f"{' or '.join(args.formats)}, not {args.format}")
         return args.func(args)
     except (ParseError, CapExceeded, SearchCapExceeded, AmbiguousHorizon,
-            ValueError) as exc:
+            WorkerDied, ValueError) as exc:
         token = getattr(exc, "token", None)
         suffix = f" (token: {token})" if token else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)

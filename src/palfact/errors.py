@@ -27,3 +27,7 @@ class SearchCapExceeded(PalfactError):
     def __init__(self, message, nodes=None):
         super().__init__(message)
         self.nodes = nodes
+
+
+class WorkerDied(PalfactError):
+    """A worker process of the suite pool ended without returning a result."""

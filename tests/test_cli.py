@@ -207,6 +207,21 @@ def test_experiments_rejects_unknown(capsys):
     assert "oracles" in err
 
 
+@pytest.mark.parametrize("suites", [("all", "greedy"), ("lps", "all"), ("all", "all")])
+def test_verify_all_beside_suite_names_means_every_suite(capsys, suites):
+    # this used to exit 2 with "unknown suite names: all"
+    code, out, _ = run_cli(capsys, "verify", *suites, "--format", "json")
+    assert code == 0
+    assert sha(out) == dict(GOLDEN_DIGESTS)[("verify", "all", "--format", "json")]
+
+
+def test_experiments_all_beside_names_means_every_experiment(capsys):
+    # this used to exit 2 with "unknown experiments: all"
+    code, out, err = run_cli(capsys, "experiments", "all", "occdiff")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "experiments", "all")[1]
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "verify", "oracles", "--seed", "3",
                          "--format", "json")
@@ -668,6 +683,18 @@ def fresh_process(*argv):
 
 def test_help_in_a_new_process_matches_the_pinned_digest():
     assert sha(fresh_process("--help")) == HELP_DIGESTS[0][2]
+
+
+def test_cli_start_up_does_not_import_the_suite_pool():
+    # perfbench's setup_s times exactly this; the pool's modules load only
+    # when run_suites starts workers
+    src = os.path.dirname(os.path.dirname(palfact.cli.__file__))
+    code = ("import sys, palfact.cli; palfact.cli.build_parser(); "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

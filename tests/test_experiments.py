@@ -1,3 +1,8 @@
+import json
+import multiprocessing
+import os
+import threading
+
 import pytest
 
 from palfact import (
@@ -192,6 +197,90 @@ def test_run_suites_times_every_suite():
     assert all(r.runtime > 0 for r in results)
     assert all("runtime_seconds" in r.to_json() for r in results)
     assert all("runtime_seconds" not in r.to_json(timings=False) for r in results)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the suite pool forks its workers")
+
+
+@pytest.fixture(params=[pytest.param(2, marks=needs_fork, id="pooled"),
+                        pytest.param(1, id="in-process")])
+def cpus(request, monkeypatch):
+    """Usable CPUs: two (a pool of two workers) or one (every suite in this
+    process)."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def reports_its_pid(seed=0):
+    """A stand-in suite that reports the process it ran in."""
+    return experiments.ExperimentResult("occdiff", {"pid": os.getpid()})
+
+
+def test_run_suites_returns_name_order_timed_where_it_ran(monkeypatch, cpus):
+    monkeypatch.setitem(SUITES, "occdiff", reports_its_pid)
+    names = ["occdiff", "lps", "bound2", "ladder"]
+    results = run_suites(names, seed=1)
+    assert [r.name for r in results] == sorted(names)
+    assert all(r.runtime > 0 for r in results)
+    ran_here = results[-1].params["pid"] == os.getpid()
+    assert ran_here == (cpus == 1)
+
+
+def test_run_suites_stays_in_process_beside_other_threads(monkeypatch):
+    # fork would copy only this thread, so the pool is not used while
+    # another thread runs
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(SUITES, "occdiff", reports_its_pid)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        results = run_suites(["occdiff", "ladder"])
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert results[1].params["pid"] == os.getpid()
+
+
+def test_verify_all_output_does_not_depend_on_the_pool(capsys, monkeypatch):
+    outputs = []
+    for count in (2, 1):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: count)
+        assert main(["verify", "all", "--format", "json", "--seed", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@needs_fork
+def test_a_pooled_suite_raises_its_own_exception():
+    # random.Random rejects a list seed; the worker's TypeError must reach
+    # the caller as a TypeError, and the pool must not outlive the call
+    with pytest.raises(TypeError):
+        run_suites(["lps", "oracles"], seed=[3])
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_dead_worker_exits_2_with_a_message(capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(SUITES, "occdiff", lambda seed=0: os._exit(3))
+    assert main(["verify", "occdiff", "ladder"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a suite worker process died before ")
+    assert "occdiff" in captured.err and "Traceback" not in captured.err
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_all_times_every_suite_and_leaves_no_worker_behind(capsys):
+    assert main(["verify", "all", "--timings", "--format", "json"]) == 0
+    assert multiprocessing.active_children() == []
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results) == len(SUITES)
+    assert all(r["runtime_seconds"] > 0 for r in results)
 
 
 def test_greedy_suite_catches_an_off_by_one_left_greedy_walk(monkeypatch):
