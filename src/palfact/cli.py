@@ -13,10 +13,8 @@ import sys
 from itertools import chain, compress, repeat
 from operator import is_
 
-from .analysis import bound_report, classify_bound2, enumerate_next
 from .errors import (AmbiguousHorizon, CapExceeded, ParseError, SearchCapExceeded,
                      WorkerDied)
-from .experiments import EXPERIMENTS, SUITES, run_suites
 from .greedy import gap_witness
 from .pallen import minimal_factorizations
 from .profiles import build_profile
@@ -24,6 +22,21 @@ from .streams import DSL_GRAMMAR, InfiniteWord, parse_spec
 from .words import Word, render, render_style
 
 SCHEMA_VERSION = 1
+
+# The suite names each command's help lists: every verify suite, sorted, and
+# the experiments in ``experiments.EXPERIMENTS`` order.  They are spelled out
+# so that building the parser does not import ``experiments``;
+# tests/test_package.py holds them equal to that module's tables.
+_HELP_SUITES = {
+    "verify": ("bound2", "evperiodic", "floors", "gaps", "greedy", "ladder",
+               "lps", "multibonacci", "nextsets", "occdiff", "oracles", "uword"),
+    "experiments": ("occdiff", "uword", "multibonacci", "ladder", "floors"),
+}
+
+# The flag that bounds the input of each command, named when it runs out of
+# memory.
+_BOUNDING_FLAG = {"len": "--cap", "decompose": "--cap", "profile": "--horizon",
+                  "bounds": "--horizon", "next": "--max-len"}
 
 # Text of the small ints that count arrays hold, looked up in C by ``_dump``.
 _SMALL_INTS = {i: repr(i) for i in range(1024)}
@@ -239,6 +252,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .analysis import bound_report, classify_bound2
+
     source = parse_spec(args.word, args.cap)
     report = bound_report(source, args.horizon, args.window)
     try:
@@ -271,6 +286,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_next(args) -> int:
+    from .analysis import enumerate_next
+
     w = _need_finite(args.word, args.cap)
     ns = enumerate_next(w, args.max_len)
     if args.format == "json":
@@ -301,6 +318,8 @@ def _suite_names(tokens: list[str], universe) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    from .experiments import SUITES, run_suites
+
     names = _suite_names(args.suites, SUITES)
     results = run_suites(names, seed=args.seed)
     failed = False
@@ -326,6 +345,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiments(args) -> int:
+    from .experiments import EXPERIMENTS, run_suites
+
     names = _suite_names(args.suites, EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
@@ -421,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_next)
 
     sp = sub.add_parser("verify", help="run verification suites "
-                                       f"({', '.join(sorted(SUITES))})")
+                                       f"({', '.join(_HELP_SUITES['verify'])})")
     sp.add_argument("suites", nargs="*", default=(),
                     help="suite names, or 'all'")
     sp.add_argument("--seed", type=int, default=0)
@@ -433,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiments", help="run the named experiments and "
                                             "emit JSON reports "
-                                            f"({', '.join(EXPERIMENTS)})")
+                                            f"({', '.join(_HELP_SUITES['experiments'])})")
     sp.add_argument("suites", nargs="*", default=())
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--timings", action="store_true",
@@ -465,6 +486,11 @@ def main(argv=None) -> int:
         token = getattr(exc, "token", None)
         suffix = f" (token: {token})" if token else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        flag = _BOUNDING_FLAG.get(args.command)
+        hint = f"; a smaller {flag} bounds the input" if flag else ""
+        print(f"error: out of memory in {args.command}{hint}", file=sys.stderr)
         return 2
 
 

@@ -188,18 +188,6 @@ def is_primitive(w: Sequence[int]) -> bool:
     return True
 
 
-def primitive_root(w: Sequence[int]) -> Word:
-    """Shortest word z with w = z^k; z is primitive and unique."""
-    n = len(w)
-    if n == 0:
-        raise ValueError("primitive root is undefined for the empty word")
-    t = tuple(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and t[:d] * (n // d) == t:
-            return Word(t[:d])
-    raise AssertionError("unreachable")
-
-
 def count_occurrences(w: Sequence[int], factor: Sequence[int]) -> int:
     """Number of (possibly overlapping) occurrences of ``factor`` in ``w``."""
     f = tuple(factor)

@@ -13,6 +13,7 @@ import pytest
 
 import palfact.analysis
 import palfact.cli
+import palfact.experiments
 from palfact import Periodic, Word, build_profile, classify_bound2, search_prefix_floor
 from palfact.cli import _json_doc, main
 from palfact.greedy import running_max
@@ -141,7 +142,6 @@ def test_bounds_builds_one_report_labelled_with_the_source(capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(palfact.analysis, "bound_report", counting)
-    monkeypatch.setattr(palfact.cli, "bound_report", counting)
     code, out, _ = run_cli(capsys, "bounds", "periodic:ab", "--horizon", "300",
                            "--format", "json")
     assert code == 0
@@ -685,16 +685,65 @@ def test_help_in_a_new_process_matches_the_pinned_digest():
     assert sha(fresh_process("--help")) == HELP_DIGESTS[0][2]
 
 
-def test_cli_start_up_does_not_import_the_suite_pool():
-    # perfbench's setup_s times exactly this; the pool's modules load only
-    # when run_suites starts workers
+# Modules that only bounds, next, verify and experiments run, and the pool
+# that only run_suites starts.
+DEFERRED_MODULES = ("palfact.analysis", "palfact.experiments", "palfact.oracles",
+                    "palfact.engine", "multiprocessing", "concurrent.futures")
+
+
+def loaded_in_fresh_process(code):
+    """The DEFERRED_MODULES that ``code``, run in a new interpreter, loads."""
     src = os.path.dirname(os.path.dirname(palfact.cli.__file__))
-    code = ("import sys, palfact.cli; palfact.cli.build_parser(); "
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-            "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    probe = (f"import sys\n{code}\n"
+             f"print(sorted(m for m in {DEFERRED_MODULES!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_cli_start_up_does_not_import_the_suite_pool():
+    # perfbench's setup_s times exactly this; analysis and experiments load
+    # only in the commands that call them, the pool's modules only when
+    # run_suites starts workers
+    assert loaded_in_fresh_process(
+        "import palfact.cli; palfact.cli.build_parser()") == "[]"
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["len", "lit:abaab"], []),
+    (["decompose", "lit:aabaab", "--format", "json"], []),
+    (["profile", "fib", "--horizon", "200"], []),
+    (["next", "lit:aab", "--max-len", "16"], ["palfact.analysis", "palfact.engine"]),
+    (["bounds", "periodic:ab", "--horizon", "100", "--window", "10"],
+     ["palfact.analysis", "palfact.engine"]),
+], ids=["len", "decompose", "profile", "next", "bounds"])
+def test_each_command_loads_only_what_it_runs(argv, loaded):
+    code = ("import contextlib, io\nfrom palfact.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    assert loaded_in_fresh_process(code) == repr(loaded)
+
+
+@pytest.mark.parametrize("argv,module,worker,flag", [
+    (["len", "lit:abaab"], palfact.cli, "gap_witness", "--cap"),
+    (["decompose", "lit:abaab"], palfact.cli, "minimal_factorizations", "--cap"),
+    (["profile", "fib"], palfact.cli, "build_profile", "--horizon"),
+    (["bounds", "fib"], palfact.analysis, "bound_report", "--horizon"),
+    (["next", "lit:ab"], palfact.analysis, "enumerate_next", "--max-len"),
+    (["verify", "occdiff"], palfact.experiments, "run_suites", None),
+], ids=["len", "decompose", "profile", "bounds", "next", "verify"])
+def test_out_of_memory_is_a_resource_error(capsys, monkeypatch, argv, module,
+                                           worker, flag):
+    # exit 1 is kept for a failed claim; no memory is really exhausted here
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(module, worker, exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: out of memory in {argv[0]}")
+    assert (flag in err) if flag else ("--" not in err)
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

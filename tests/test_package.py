@@ -1,0 +1,72 @@
+"""The package's public surface: every export resolves, eagerly or on first
+use, to the object its module defines."""
+
+import importlib
+
+import pytest
+
+import palfact
+import palfact.cli
+from palfact import experiments
+
+# Every name palfact exports, by defining module.
+EXPORTS = {
+    "analysis": ["BoundReport", "Classification", "NextSet", "alphabet_bound_check",
+                 "bound_report", "classify_bound2", "enumerate_next",
+                 "verify_next_closed_forms"],
+    "eertree": ["PalindromeIndex"],
+    "engine": ["GapSequence", "PalindromicPrefixSeq", "gap_sequence",
+               "palindromic_prefixes", "product_of_two_palindromes"],
+    "errors": ["AmbiguousHorizon", "CapExceeded", "PalfactError", "ParseError",
+               "SearchCapExceeded"],
+    "experiments": ["ExperimentResult", "build_gap_word",
+                    "deletion_monotonicity_check", "ladder_experiment",
+                    "max_prefix_count", "prefix_floor_experiment",
+                    "prefix_floor_witness", "run_suites", "search_prefix_floor",
+                    "verify_multibonacci", "verify_occurrence_balance",
+                    "verify_u_suffixes"],
+    "greedy": ["GreedyProfile", "gap_witness", "greedy_profile", "lgpal",
+               "lgpal_profile", "rgpal", "rgpal_profile"],
+    "pallen": ["MinimalFactorizations", "PalPrefixTable", "first_attainment",
+               "minimal_factorizations", "pal_dp", "pal_fast"],
+    "profiles": ["PrefixProfile", "build_profile"],
+    "streams": ["DEFAULT_CAP", "EventuallyPeriodic", "InfiniteWord",
+                "MorphismFixedPoint", "Periodic", "closure_power_stream",
+                "fibonacci_stream", "multibonacci", "multibonacci_stream",
+                "parse_spec", "u_ladder", "u_ladder_periodic", "word_u_component",
+                "word_u_stream"],
+    "words": ["Decomposition", "Word", "count_occurrences", "is_palindrome",
+              "is_primitive", "mirror", "render", "render_style"],
+}
+NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()
+                                         for n in names])
+def test_each_export_is_its_modules_object(module, name):
+    defined = getattr(importlib.import_module(f"palfact.{module}"), name)
+    assert getattr(palfact, name) is defined
+
+
+def test_all_and_dir_list_every_export():
+    assert sorted(palfact.__all__) == NAMES
+    assert set(NAMES) <= set(dir(palfact))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from palfact import *", namespace)
+    assert all(namespace[name] is getattr(palfact, name) for name in NAMES)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'primitive_root'"):
+        palfact.primitive_root
+    assert not hasattr(palfact, "SUITES")
+
+
+def test_help_suite_names_match_the_suite_tables():
+    assert palfact.cli._HELP_SUITES == {
+        "verify": tuple(sorted(experiments.SUITES)),
+        "experiments": experiments.EXPERIMENTS,
+    }

@@ -9,7 +9,6 @@ from palfact import (
     is_palindrome,
     is_primitive,
     mirror,
-    primitive_root,
     render,
     render_style,
 )
@@ -156,21 +155,6 @@ def test_primitivity_equals_no_internal_occurrence_in_square():
             ww[i : i + len(w)] == tuple(w) for i in range(1, len(w))
         )
         assert is_primitive(w) == (not internal)
-
-
-def test_primitive_root():
-    assert primitive_root(Word("abab")) == Word("ab")
-    assert primitive_root(Word("aaa")) == Word("a")
-    assert primitive_root(Word("aabaa")) == Word("aabaa")
-    for t in all_binary_words(10):
-        if not t:
-            continue
-        root = primitive_root(t)
-        k = len(t) // len(root)
-        assert tuple(root) * k == tuple(t)
-        assert is_primitive(root)
-        # exponent is unique
-        assert len(t) % len(root) == 0
 
 
 def test_count_occurrences_overlapping():
