@@ -21,7 +21,6 @@ from .errors import (
     SearchCapExceeded,
 )
 from .greedy import (
-    GreedyProfile,
     gap_witness,
     greedy_profile,
     lgpal,
@@ -113,8 +112,9 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
-    return value
+    # not cached in globals(): a name read while a wrapper is patched into
+    # its module would outlive the patch
+    return getattr(import_module(f".{module}", __name__), name)
 
 
 def __dir__() -> list[str]:

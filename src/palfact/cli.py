@@ -318,9 +318,15 @@ def _suite_names(tokens: list[str], universe) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    from .experiments import SUITES, run_suites
+    """Run the named suites of ``verify`` (any suite) or of ``experiments``
+    (those in ``EXPERIMENTS``)."""
+    from .experiments import EXPERIMENTS, SUITES, run_suites
 
-    names = _suite_names(args.suites, SUITES)
+    universe = EXPERIMENTS if args.command == "experiments" else SUITES
+    names = _suite_names(args.suites, universe)
+    unknown = sorted(set(names).difference(universe))
+    if unknown:
+        raise ValueError(f"unknown suite names: {', '.join(unknown)}")
     results = run_suites(names, seed=args.seed)
     failed = False
     lines = []
@@ -336,44 +342,11 @@ def cmd_verify(args) -> int:
         lines.append(f"[{'OK' if res.ok else 'FAILED'}] suite {res.name} "
                      f"({len(res.claims)} claims)")
     if args.format == "json":
-        _emit(_json_doc({"command": "verify",
+        _emit(_json_doc({"command": args.command,
                          "results": [r.to_json(timings=args.timings)
                                      for r in results]}), args.out)
     else:
         _emit("\n".join(lines) + "\n", args.out)
-    return 1 if failed else 0
-
-
-def cmd_experiments(args) -> int:
-    from .experiments import EXPERIMENTS, run_suites
-
-    names = _suite_names(args.suites, EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        raise ParseError(f"unknown experiments: {', '.join(unknown)}",
-                         token=unknown[0])
-    results = run_suites(names, seed=args.seed)
-    doc = _json_doc({"command": "experiments",
-                     "results": [r.to_json(timings=args.timings)
-                                 for r in results]})
-    failed = any(not r.ok for r in results)
-    # the JSON report always exists; --out captures it, text mode adds a
-    # per-claim summary on stdout
-    if args.out:
-        _emit(doc, args.out)
-    if args.format == "text":
-        lines = []
-        for res in results:
-            status = "ok" if res.ok else "FAILED"
-            timing = f", {res.runtime:.2f}s" if args.timings else ""
-            lines.append(f"{res.name}: {status} ({len(res.claims)} claims"
-                         f"{timing})")
-            for claim in res.claims:
-                lines.append(f"  [{claim.status}] {claim.description}: "
-                             f"{claim.observed}")
-        _emit("\n".join(lines) + "\n", None)
-    elif not args.out:
-        _emit(doc, None)
     return 1 if failed else 0
 
 
@@ -461,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include wall-clock timings (breaks byte-identical "
                          "reruns)")
     _add_output(sp, _TEXT_JSON)
-    sp.set_defaults(func=cmd_experiments)
+    sp.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -807,9 +807,18 @@ EXPERIMENTS = ("occdiff", "uword", "multibonacci", "ladder", "floors")
 
 
 def _run_suite(name: str, seed) -> ExperimentResult:
-    """Run one registered suite and time it where it runs."""
+    """Run one registered suite and time it where it runs.  A suite that
+    raises reports one failed claim naming the exception, so the other
+    suites still report; running out of memory is not a claim."""
     t0 = time.perf_counter()
-    result = SUITES[name](seed=seed)
+    try:
+        result = SUITES[name](seed=seed)
+    except MemoryError:
+        raise
+    except Exception as exc:
+        result = ExperimentResult(name, {}, [Claim(
+            "suite runs to completion", "no exception",
+            f"{type(exc).__name__}: {exc}", "fail")])
     result.runtime = time.perf_counter() - t0
     return result
 
@@ -828,7 +837,8 @@ def run_suites(names: Iterable[str], seed: int = 0) -> list[ExperimentResult]:
     handed out heaviest first in ``SUITES`` order.  With one worker, where
     ``fork`` is not offered, or when the caller runs other threads, they run
     in this process.  Each suite is timed inside the process that runs it.
-    A suite's exception reaches the caller as raised; a worker that dies
+    A suite that raises reports a failed claim (see ``_run_suite``), a
+    ``MemoryError`` reaches the caller as raised, and a worker that dies
     raises ``WorkerDied``.
     """
     chosen = set(names)

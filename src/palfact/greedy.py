@@ -12,11 +12,9 @@ symbol, so a profile of both sides costs one index build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .eertree import PalindromeIndex
-from .streams import materialize
 from .words import Decomposition, Word
 
 
@@ -72,20 +70,6 @@ def gap_witness(w: Sequence[int]) -> tuple[int, int, int]:
     return p, lg, rg
 
 
-@dataclass
-class GreedyProfile:
-    """Per-prefix greedy counts for prefixes 1..horizon of a stream."""
-
-    lgpal: list[int]
-    rgpal: list[int]
-    max_lgpal: list[int]
-    max_rgpal: list[int]
-
-    @property
-    def horizon(self) -> int:
-        return len(self.rgpal)
-
-
 def running_max(values: list[int]) -> list[int]:
     out = []
     best = 0
@@ -124,10 +108,9 @@ def lgpal_profile(w: Sequence[int]) -> list[int]:
     return PalindromeIndex(w, track_min=True, track_left=True).left_greedy_counts()
 
 
-def greedy_profile(stream, horizon: int) -> GreedyProfile:
-    """Left- and right-greedy counts for every prefix up to the horizon,
-    from one index."""
-    idx = PalindromeIndex(materialize(stream, horizon), track_min=True, track_left=True)
-    lg = idx.left_greedy_counts()
-    rg = right_greedy_counts(idx.lps)
-    return GreedyProfile(lg, rg, running_max(lg), running_max(rg))
+def greedy_profile(stream, horizon: int):
+    """Left- and right-greedy counts for every prefix up to the horizon: the
+    ``PrefixProfile`` of ``build_profile``, from one index."""
+    from .profiles import build_profile  # profiles imports this module
+
+    return build_profile(stream, horizon)

@@ -29,11 +29,6 @@ class PalPrefixTable:
     def __getitem__(self, i: int) -> int:
         return self.values[i]
 
-    def to_csv(self) -> str:
-        lines = ["n,pal"]
-        lines.extend(f"{i},{v}" for i, v in enumerate(self.values) if i > 0)
-        return "\n".join(lines) + "\n"
-
 
 def pal_dp(w: Sequence[int]) -> tuple[int, PalPrefixTable]:
     """Minimum palindromic factor count by direct minimization.

@@ -282,7 +282,9 @@ def _parse_token(token: str, cap: int | None):
     if not sep:
         raise ParseError(f"unknown word specification {token!r}", token=token)
     if head == "lit":
-        return _parse_word_text(rest, token)
+        w = _parse_word_text(rest, token)
+        _check_cap(len(w), cap)
+        return w
     if head == "periodic":
         w = _parse_word_text(rest, token)
         if not w:

@@ -183,14 +183,32 @@ def test_experiments_json(capsys):
     assert all(r["ok"] for r in doc["results"])
 
 
-def test_experiments_text_with_json_out(tmp_path, capsys):
-    target = tmp_path / "exp.json"
-    code, out, _ = run_cli(capsys, "experiments", "occdiff",
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_experiments_out_writes_what_stdout_shows(tmp_path, capsys, fmt):
+    # one --out rule for every command: the chosen format goes to the file
+    # instead of stdout (text mode used to print text and write JSON)
+    target = tmp_path / "exp.out"
+    code, out, _ = run_cli(capsys, "experiments", "occdiff", "--format", fmt,
                            "--out", str(target))
-    assert code == 0
-    assert "occdiff: ok" in out
-    doc = json.loads(target.read_text())
-    assert doc["results"][0]["name"] == "occdiff"
+    assert (code, out) == (0, "")
+    assert target.read_text() == run_cli(capsys, "experiments", "occdiff",
+                                         "--format", fmt)[1]
+
+
+def test_experiments_text_is_the_verify_text_of_the_experiments(capsys):
+    code, out, _ = run_cli(capsys, "experiments", "all")
+    assert code == 0 and "[OK] suite occdiff (" in out
+    assert run_cli(capsys, "verify", "occdiff", "uword", "multibonacci",
+                   "ladder", "floors") == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [("experiments", "oracles"),
+                                  ("experiments", "occdiff", "bogus", "lps"),
+                                  ("verify", "bogus", "lps")])
+def test_unknown_suite_names_share_one_message(capsys, argv):
+    known = {"experiments": {"occdiff"}, "verify": {"lps"}}[argv[0]]
+    unknown = ", ".join(sorted(set(argv[1:]) - known))
+    assert run_cli(capsys, *argv) == (2, "", f"error: unknown suite names: {unknown}\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "experiments"])
@@ -260,6 +278,14 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
     reason = "Is a directory" if where == "directory" else "No such file or directory"
     assert (code, out) == (2, "")
     assert err == f"error: cannot write {target}: {reason}\n"
+
+
+@pytest.mark.parametrize("command", ["len", "decompose"])
+def test_cap_bounds_a_literal_word(capsys, command):
+    # --cap used to bound only generated words: this exited 0
+    assert run_cli(capsys, command, "lit:abab", "--cap", "1") == (
+        2, "", "error: requested word of length 4 exceeds the cap of 1\n")
+    assert run_cli(capsys, command, "lit:abab", "--cap", "4")[0] == 0
 
 
 def test_cap_override(capsys):
@@ -389,6 +415,12 @@ GOLDEN_DIGESTS = [
      "a733e58a8cbdd16ea5167cb797556cea84799deffb1e1ee140d5bda27a66c6c4"),
     (("decompose", "lit:a", "--format", "text"),
      "214adda37275971077ddcb0847a21a269c876f00da59a4c48c1bbe7042042e3f"),
+    # recorded before experiments and verify shared one renderer; the
+    # experiments draw nothing from the seed
+    (("experiments", "all", "--format", "json"),
+     "2a9031cdda91f69cd9a70f5f9b5060393a0861a652d7fc0101c09bbdffc13061"),
+    (("experiments", "all", "--format", "json", "--seed", "3"),
+     "2a9031cdda91f69cd9a70f5f9b5060393a0861a652d7fc0101c09bbdffc13061"),
 ]
 
 

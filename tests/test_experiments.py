@@ -256,11 +256,59 @@ def test_verify_all_output_does_not_depend_on_the_pool(capsys, monkeypatch):
 
 @needs_fork
 def test_a_pooled_suite_raises_its_own_exception():
-    # random.Random rejects a list seed; the worker's TypeError must reach
-    # the caller as a TypeError, and the pool must not outlive the call
-    with pytest.raises(TypeError):
-        run_suites(["lps", "oracles"], seed=[3])
+    # random.Random rejects a list seed; each worker's TypeError must come
+    # back as that suite's failed claim naming a TypeError, and the pool
+    # must not outlive the call
+    results = run_suites(["lps", "oracles"], seed=[3])
+    assert [r.name for r in results] == ["lps", "oracles"]
+    for res in results:
+        assert not res.ok
+        [claim] = res.claims
+        assert claim.status == "fail"
+        assert claim.observed.startswith("TypeError: ")
     assert multiprocessing.active_children() == []
+
+
+BOUND2_FAULT = ("family ((ab)^i a)^w matched but the prefix maximum is 102 "
+                "at horizon 1000")
+
+
+def test_a_suite_that_raises_fails_without_hiding_the_others(capsys, monkeypatch):
+    # one suite's exception used to end `verify all` with a traceback and
+    # nothing on stdout; this is the fault a wrong series walk raised in bound2
+    def faulty(seed=0):
+        raise RuntimeError(BOUND2_FAULT)
+
+    assert main(["verify", "all"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    monkeypatch.setitem(SUITES, "bound2", faulty)
+    outputs = []
+    for count in (2, 1):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: count)
+        assert main(["verify", "all"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert [line for line in lines if "bound2" in line] == [
+        "[FAIL] bound2: suite runs to completion (expected=no exception, "
+        f"observed=RuntimeError: {BOUND2_FAULT})",
+        "[FAILED] suite bound2 (1 claims)"]
+    # every other suite reports exactly what it reports without the fault
+    assert ([line for line in lines if "bound2" not in line]
+            == [line for line in clean if "bound2" not in line])
+
+
+def test_a_suite_out_of_memory_still_exits_2(capsys, monkeypatch, cpus):
+    def exhausted(seed=0):
+        raise MemoryError
+
+    monkeypatch.setitem(SUITES, "occdiff", exhausted)
+    assert main(["verify", "occdiff", "ladder"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory in verify\n"
 
 
 @needs_fork

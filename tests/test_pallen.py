@@ -335,15 +335,6 @@ def test_profile_first_attainment_is_first_attainment(spec, horizon):
     assert list(prof.first_attainment) == list(range(1, top + 1))
 
 
-def test_pal_prefix_table_csv():
-    _, table = pal_fast(Word("abaab"))
-    csv = table.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "n,pal"
-    assert lines[1] == "1,1"
-    assert lines[-1] == "5,2"
-
-
 def test_bplp_shift_property():
     # For a stream aw whose prefixes all fit in k factors, the prefixes of w
     # fit in k + 1.
