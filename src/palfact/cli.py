@@ -85,10 +85,14 @@ def _dump(obj, indent: str, memo: dict, out: list) -> None:
         if not obj:
             out.append("[]")
             return
-        kinds = set(map(type, obj))
         sep = ",\n" + inner
         out.append("[\n" + inner)
-        if kinds == {int}:
+        seen = memo.get(inner)
+        if seen and (text := _join_rendered(sep, obj, seen)) is not None:
+            # rows rendered before at this depth, such as the spans that one
+            # decomposition shares with the ones before it
+            out.append(text)
+        elif (kinds := set(map(type, obj))) == {int}:
             try:
                 out.append(sep.join(map(_SMALL_INTS.__getitem__, obj)))
             except KeyError:  # a negative or a large int
@@ -106,6 +110,19 @@ def _dump(obj, indent: str, memo: dict, out: list) -> None:
     else:
         # JSON text holds no raw newline, so re-indenting is a plain replace
         out.append(json.dumps(obj, indent=2).replace("\n", "\n" + indent))
+
+
+def _join_rendered(sep: str, rows, seen: dict) -> str | None:
+    """The texts in ``seen`` of every element of ``rows``, joined by
+    ``sep``, or None as soon as one element is not a row in ``seen``.
+
+    Looking every element up by id before any type scan costs one C-level
+    pass when all are known; see ``_rows`` for why ids are safe keys.
+    """
+    try:
+        return sep.join(map(seen.__getitem__, map(id, rows)))
+    except KeyError:
+        return None
 
 
 def _rows(rows, indent: str, memo: dict) -> list[str] | None:
@@ -339,8 +356,9 @@ def cmd_verify(args) -> int:
             )
             if claim.status == "fail":
                 failed = True
+        timing = f", {res.runtime:.3f} s" if args.timings else ""
         lines.append(f"[{'OK' if res.ok else 'FAILED'}] suite {res.name} "
-                     f"({len(res.claims)} claims)")
+                     f"({len(res.claims)} claims{timing})")
     if args.format == "json":
         _emit(_json_doc({"command": args.command,
                          "results": [r.to_json(timings=args.timings)
@@ -425,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(sp, _TEXT_JSON)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("experiments", help="run the named experiments and "
-                                            "emit JSON reports "
+    sp = sub.add_parser("experiments", help="run the named experiments as "
+                                            "verification suites "
                                             f"({', '.join(_HELP_SUITES['experiments'])})")
     sp.add_argument("suites", nargs="*", default=())
     sp.add_argument("--seed", type=int, default=0)

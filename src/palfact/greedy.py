@@ -55,13 +55,19 @@ def gap_witness(w: Sequence[int]) -> tuple[int, int, int]:
     """(minimum, left-greedy, right-greedy) factor counts of one word.
 
     The minimum never exceeds either greedy count; a violation would be an
-    internal error, so it raises instead of returning.  Two index builds:
-    reversal keeps the minimum and turns the left-greedy count into the
-    right-greedy one, so one ``track_min`` index of the reversal gives both.
+    internal error, so it raises instead of returning.  A non-empty
+    palindrome is its own longest palindromic prefix and suffix, so all three
+    counts are 1 and no index is built.  Any other word takes two index
+    builds: reversal keeps the minimum and turns the left-greedy count into
+    the right-greedy one, so one ``track_min`` index of the reversal gives
+    both.
     """
-    rev = PalindromeIndex(w[::-1], track_min=True)
+    mirrored = w[::-1]
+    if mirrored == w and w:
+        return 1, 1, 1
+    rev = PalindromeIndex(mirrored, track_min=True)
     p, lg = rev.min_factors[-1], len(_right_greedy_spans(rev.lps))
-    del rev  # one index alive at a time: on rich words each is large
+    del rev, mirrored  # one index alive at a time: on rich words each is large
     rg = len(_right_greedy_spans(PalindromeIndex(w).lps))
     if p > min(lg, rg):
         raise RuntimeError(

@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -238,6 +239,44 @@ def test_experiments_all_beside_names_means_every_experiment(capsys):
     code, out, err = run_cli(capsys, "experiments", "all", "occdiff")
     assert (code, err) == (0, "")
     assert out == run_cli(capsys, "experiments", "all")[1]
+
+
+# SHA-256 of the text of these suites without --timings, recorded before
+# --timings began to add each suite's time to its text line
+SUITE_TEXT_DIGEST = "e1e8f0e74b6d6884f240e90188cd9c5f6a6d57efa5456163329460e339089363"
+SUITE_LINE = re.compile(r"\[(?:OK|FAILED)\] suite \w+ \(\d+ claims(, \d+\.\d{3} s)?\)")
+
+
+@pytest.mark.parametrize("command", ["verify", "experiments"])
+def test_suite_text_without_timings_is_unchanged(capsys, command):
+    code, out, _ = run_cli(capsys, command, "occdiff", "multibonacci")
+    assert code == 0
+    assert sha(out) == SUITE_TEXT_DIGEST
+    assert SUITE_LINE.findall(out) == ["", ""]  # no timing
+
+
+@pytest.mark.parametrize("command", ["verify", "experiments"])
+def test_timings_add_each_suites_time_to_its_text_line(capsys, command):
+    # --timings used to change nothing in text mode
+    code, out, _ = run_cli(capsys, command, "occdiff", "multibonacci", "--timings")
+    assert code == 0
+    suite_lines = [line for line in out.splitlines() if " suite " in line]
+    assert len(suite_lines) == 2
+    assert all(SUITE_LINE.fullmatch(line)[1] for line in suite_lines)
+    # the timing is the only difference
+    assert sha(re.sub(r", \d+\.\d{3} s\)", ")", out)) == SUITE_TEXT_DIGEST
+
+
+def test_timings_mark_a_failed_suite_too(capsys, monkeypatch):
+    def broken(seed=0):
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setitem(palfact.experiments.SUITES, "occdiff", broken)
+    code, out, _ = run_cli(capsys, "verify", "occdiff", "--timings")
+    assert code == 1
+    last = out.splitlines()[-1]
+    assert SUITE_LINE.fullmatch(last)[1]
+    assert last.startswith("[FAILED] suite occdiff (1 claims, ")
 
 
 def test_deterministic_output(capsys):
@@ -533,6 +572,61 @@ def test_json_writer_renders_a_shared_row_at_every_depth():
     assert "".join(_json_doc(doc)) == json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
 
 
+def rows_calls(monkeypatch):
+    """The row lists that reach ``_rows``, the path after the type scan."""
+    calls = []
+    original = palfact.cli._rows
+
+    def counting(rows, indent, memo):
+        calls.append(rows)
+        return original(rows, indent, memo)
+
+    monkeypatch.setattr(palfact.cli, "_rows", counting)
+    return calls
+
+
+def assert_renders_like_json_dumps(doc):
+    expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
+    assert "".join(_json_doc(doc)) == expected
+
+
+def test_json_writer_joins_rows_it_rendered_before(monkeypatch):
+    # decompositions share their span objects, as minimal_factorizations
+    # reports them; only lists holding a span not seen before are scanned
+    a, b, c, d = (1, 1), (2, 3), (4, 4), (2, 4)
+    decompositions = [(a, b, c), [a, d], (a, b, c), [c, d, b, a], (a, b, c)]
+    calls = rows_calls(monkeypatch)
+    assert_renders_like_json_dumps({"decompositions": decompositions, "pal": 3})
+    assert calls == decompositions[:2]
+
+
+@pytest.mark.parametrize("extra", [(1, True), 7, {"k": 1}, tuple([2, 3])],
+                         ids=["bool-row", "int", "dict", "equal-row"])
+def test_json_writer_scans_a_list_with_an_element_it_has_not_rendered(monkeypatch, extra):
+    a, b = (1, 1), (2, 3)
+    doc = {"rows": [[a, b], [a, extra, b], [b, a]]}
+    calls = rows_calls(monkeypatch)
+    assert_renders_like_json_dumps(doc)
+    assert calls[0] is doc["rows"][0]
+    assert not any(rows is doc["rows"][2] for rows in calls)  # all known again
+
+
+ROW = (1, 2)
+ROWS = [ROW, (3, 4)]
+
+
+@pytest.mark.parametrize("doc", [
+    {"x": ROWS, "y": {"z": ROWS}, "w": [ROWS, ROWS]},
+    {"w": [ROWS, ROWS], "y": {"z": ROWS}, "x": ROWS},
+    # ROW is known at the depth of the rows of "a"; in "b" it sits one
+    # level deeper, so a lookup at the depth of its list would hit
+    {"a": [ROW], "b": [[ROW]]},
+    {"a": [[ROW]], "b": [ROW]},
+], ids=["list-then-deeper", "deeper-then-list", "row-then-deeper", "deeper-then-row"])
+def test_json_writer_looks_rows_up_at_their_own_depth(doc):
+    assert_renders_like_json_dumps(doc)
+
+
 def test_json_writer_matches_json_dumps_with_reused_rows():
     rng = random.Random(12)
     for _ in range(1500):
@@ -652,10 +746,11 @@ def test_negative_horizon_or_window_is_a_usage_error(capsys, argv):
 
 # SHA-256 of `--help` (stdout) and of usage errors (stderr, with the exit
 # code), recorded before main began to reuse one parser per process; help
-# is formatted 80 columns wide.
+# is formatted 80 columns wide.  ``--help`` was re-recorded when the
+# experiments line stopped saying the command emits JSON reports.
 HELP_DIGESTS = [
     (("--help",), 0,
-     "910e06985092136de9d06566aa0034babc8835c1a318715e557297e84e2657fe"),
+     "c2fb2b611f5b5c94382487c3fa9dc7be666f434144730d700ccdd289ca847470"),
     (("len", "--help"), 0,
      "bf00973e2b60659d2dfb4407315fd79b3fa337f036864498892b33946ca27126"),
     (("decompose", "--help"), 0,

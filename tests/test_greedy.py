@@ -1,6 +1,9 @@
 import random
 import time
 
+import pytest
+
+import palfact.greedy
 from palfact import (
     Periodic,
     Word,
@@ -17,6 +20,7 @@ from palfact import (
     pal_fast,
     parse_spec,
     rgpal,
+    u_ladder,
 )
 from palfact.analysis import _windowed_factor_max
 from palfact.oracles import brute_lgpal, brute_rgpal
@@ -116,8 +120,39 @@ def test_gap_witness_matches_separate_counts():
 def test_gap_witness_examples():
     assert gap_witness(Word("abaa")) == (2, 2, 3)
     assert gap_witness(Word("aba")) == (1, 1, 1)
+    assert gap_witness(()) == gap_witness(Word()) == (0, 0, 0)
     big = build_gap_word(3)
     assert gap_witness(big) == (6, 8, 8)
+
+
+def binary_palindromes(max_len):
+    for length in range(1, max_len + 1):
+        k = (length + 1) // 2
+        for bits in range(2**k):
+            half = tuple((bits >> i) & 1 for i in range(k))
+            yield half + half[: length // 2][::-1]
+
+
+def test_gap_witness_on_palindromes_matches_the_definitions():
+    words = list(binary_palindromes(16))
+    assert len(words) == 2 * (2**9 - 2)
+    words += [multibonacci(n) for n in range(1, 11)]
+    words += [u_ladder(n)[0] for n in range(1, 7)]
+    for w in words:
+        assert w == w[::-1]
+        expected = (pal_dp(w)[0], brute_lgpal(w), brute_rgpal(w))
+        assert gap_witness(w) == expected == (1, 1, 1)
+
+
+def test_gap_witness_builds_no_index_for_a_palindrome(monkeypatch):
+    def no_index(*args, **kwargs):
+        raise AssertionError("built an index")
+
+    monkeypatch.setattr(palfact.greedy, "PalindromeIndex", no_index)
+    assert gap_witness(multibonacci(12)) == (1, 1, 1)
+    assert gap_witness(u_ladder(7)[0]) == (1, 1, 1)
+    with pytest.raises(AssertionError, match="built an index"):
+        gap_witness(parse_spec("lit:ab"))
 
 
 def test_multibonacci_gap_family():
