@@ -128,19 +128,18 @@ def _join_rendered(sep: str, rows, seen: dict) -> str | None:
 def _rows(rows, indent: str, memo: dict) -> list[str] | None:
     """The text of each row in ``rows``, ``indent`` deep, or None unless
     the rows not rendered before are equally long non-empty int rows.
+    ``rows`` holds at least one row not rendered before: a list of known
+    rows never gets here, since ``_join_rendered`` joins it.
 
     ``memo[indent]`` maps the id of each row already rendered at that indent
-    in this document to its text, and is looked up in C: a decomposition
-    report repeats each span object many times.  Identity, unlike equality,
-    never lets ``(1, True)`` stand in for ``(1, 1)``, and every row is an
-    object of the document being written, so no id is reused while the memo
-    lives.
+    in this document to its text: a decomposition report repeats each span
+    object many times.  Identity, unlike equality, never lets ``(1, True)``
+    stand in for ``(1, 1)``, and every row is an object of the document being
+    written, so no id is reused while the memo lives.
     """
     seen = memo.setdefault(indent, {})
     texts = list(map(seen.get, map(id, rows)))
     missing = list(compress(range(len(rows)), map(is_, texts, repeat(None))))
-    if not missing:
-        return texts
     new = list(map(rows.__getitem__, missing))
     if not _equal_int_rows(new):
         return None

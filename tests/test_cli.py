@@ -556,20 +556,37 @@ def reused_rows_doc(rng):
     return {k: doc[k] for k in rng.sample(sorted(doc), rng.randint(1, len(doc)))}
 
 
+def assert_renders_like_json_dumps(doc):
+    expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
+    assert "".join(_json_doc(doc)) == expected
+
+
+ROW = (1, 2)
+ROWS = [ROW, (3, 4)]
+
+
 @pytest.mark.parametrize("doc", [
     {"a": [(1, 1), (1, True)]},
     {"a": [(1, True), (1, 1)]},
     {"a": [(1, 2), (Side.LEFT, 2)], "b": [(Side.LEFT, 2), (1, 2)]},
     {"a": [[1, 2], (1, 2)], "b": [(1, 2), [1, 2]]},
+    # the same row objects at other depths: the text of a row is looked up
+    # at the depth it is rendered at
+    {"x": ROWS, "y": {"z": ROWS}, "w": [ROWS, ROWS]},
+    {"w": [ROWS, ROWS], "y": {"z": ROWS}, "x": ROWS},
+    # ROW is known at the depth of the rows of "a"; in "b" it sits one
+    # level deeper, so a lookup at the depth of its list would hit
+    {"a": [ROW], "b": [[ROW]]},
+    {"a": [[ROW]], "b": [ROW]},
 ])
 def test_json_writer_tells_equal_rows_of_other_types_apart(doc):
-    assert "".join(_json_doc(doc)) == json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
+    assert_renders_like_json_dumps(doc)
 
 
 def test_json_writer_renders_a_shared_row_at_every_depth():
     row = (1, 2)
     doc = {"a": [row, row], "b": [[row], {"c": [row, (1, True), row]}], "d": [row]}
-    assert "".join(_json_doc(doc)) == json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
+    assert_renders_like_json_dumps(doc)
 
 
 def rows_calls(monkeypatch):
@@ -583,11 +600,6 @@ def rows_calls(monkeypatch):
 
     monkeypatch.setattr(palfact.cli, "_rows", counting)
     return calls
-
-
-def assert_renders_like_json_dumps(doc):
-    expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
-    assert "".join(_json_doc(doc)) == expected
 
 
 def test_json_writer_joins_rows_it_rendered_before(monkeypatch):
@@ -611,28 +623,11 @@ def test_json_writer_scans_a_list_with_an_element_it_has_not_rendered(monkeypatc
     assert not any(rows is doc["rows"][2] for rows in calls)  # all known again
 
 
-ROW = (1, 2)
-ROWS = [ROW, (3, 4)]
-
-
-@pytest.mark.parametrize("doc", [
-    {"x": ROWS, "y": {"z": ROWS}, "w": [ROWS, ROWS]},
-    {"w": [ROWS, ROWS], "y": {"z": ROWS}, "x": ROWS},
-    # ROW is known at the depth of the rows of "a"; in "b" it sits one
-    # level deeper, so a lookup at the depth of its list would hit
-    {"a": [ROW], "b": [[ROW]]},
-    {"a": [[ROW]], "b": [ROW]},
-], ids=["list-then-deeper", "deeper-then-list", "row-then-deeper", "deeper-then-row"])
-def test_json_writer_looks_rows_up_at_their_own_depth(doc):
-    assert_renders_like_json_dumps(doc)
-
-
 def test_json_writer_matches_json_dumps_with_reused_rows():
     rng = random.Random(12)
     for _ in range(1500):
         doc = reused_rows_doc(rng)
-        expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
-        assert "".join(_json_doc(doc)) == expected
+        assert_renders_like_json_dumps(doc)
 
 
 def test_json_writer_matches_json_dumps():
@@ -640,8 +635,7 @@ def test_json_writer_matches_json_dumps():
     for _ in range(2500):
         doc = {f"f{i}": random_json(rng, rng.randrange(4))
                for i in range(rng.randrange(5))}
-        expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
-        assert "".join(_json_doc(doc)) == expected
+        assert_renders_like_json_dumps(doc)
 
 
 SMALL_INTS_TOP = max(palfact.cli._SMALL_INTS)

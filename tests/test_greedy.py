@@ -142,6 +142,9 @@ def test_gap_witness_on_palindromes_matches_the_definitions():
         assert w == w[::-1]
         expected = (pal_dp(w)[0], brute_lgpal(w), brute_rgpal(w))
         assert gap_witness(w) == expected == (1, 1, 1)
+        # gap_witness answers these without an index; the index counts
+        # must agree on them too
+        assert (pal_fast(w)[0], lgpal(w)[0], rgpal(w)[0]) == expected
 
 
 def test_gap_witness_builds_no_index_for_a_palindrome(monkeypatch):
