@@ -8,7 +8,6 @@ arguments and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import chain, compress, repeat
 from operator import is_
@@ -57,14 +56,15 @@ def _emit(text: str | list[str], out_path: str | None) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _dump(obj, indent: str, memo: dict, out: list) -> None:
+def _dump(obj, indent: str, memo: dict, out: list, dumps) -> None:
     """Append ``json.dumps(obj, indent=2)``, nested ``indent`` deep, to
-    ``out``, byte for byte.
+    ``out``, byte for byte; ``dumps`` is ``json.dumps``, which the caller
+    imports once per document, since text output never needs the module.
 
     With ``indent`` the json module always runs its pure-Python encoder; this
     writer renders the shapes the reports consist of (dicts with str keys,
     lists of ints, lists of int lists such as spans) with C-level joins, and
-    hands everything else to ``json.dumps``.  It appends pieces instead of
+    hands everything else to ``dumps``.  It appends pieces instead of
     nesting strings, and the pieces are written as they are, never joined,
     so a large document is held once.
     ``memo`` lives for one document; see ``_rows``.
@@ -77,8 +77,8 @@ def _dump(obj, indent: str, memo: dict, out: list) -> None:
             return
         sep = "{\n" + inner
         for k, v in obj.items():
-            out.append(sep + json.dumps(k) + ": ")
-            _dump(v, inner, memo, out)
+            out.append(sep + dumps(k) + ": ")
+            _dump(v, inner, memo, out, dumps)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif cls is list or cls is tuple:
@@ -105,11 +105,11 @@ def _dump(obj, indent: str, memo: dict, out: list) -> None:
             for i, v in enumerate(obj):
                 if i:
                     out.append(sep)
-                _dump(v, inner, memo, out)
+                _dump(v, inner, memo, out, dumps)
         out.append("\n" + indent + "]")
     else:
         # JSON text holds no raw newline, so re-indenting is a plain replace
-        out.append(json.dumps(obj, indent=2).replace("\n", "\n" + indent))
+        out.append(dumps(obj, indent=2).replace("\n", "\n" + indent))
 
 
 def _join_rendered(sep: str, rows, seen: dict) -> str | None:
@@ -165,10 +165,12 @@ def _equal_int_rows(rows) -> bool:
 
 def _json_doc(payload: dict) -> list[str]:
     """The pieces of the JSON report of ``payload``, in order."""
+    from json import dumps
+
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(payload)
     out: list[str] = []
-    _dump(doc, "", {}, out)
+    _dump(doc, "", {}, out, dumps)
     out.append("\n")
     return out
 

@@ -31,6 +31,18 @@ def _right_greedy_spans(lps: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
+def _right_greedy_count(lps: Sequence[int]) -> int:
+    """Number of right-greedy factors of the whole word whose
+    longest-palindromic-suffix array is ``lps``; ``_right_greedy_spans``
+    without building the spans."""
+    k = 0
+    i = len(lps)
+    while i > 0:
+        i -= lps[i - 1]
+        k += 1
+    return k
+
+
 def _left_greedy_spans(rev_lps: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Left-greedy spans of the whole word whose reversal has the
     longest-palindromic-suffix array ``rev_lps``: the reversal's right-greedy
@@ -66,9 +78,9 @@ def gap_witness(w: Sequence[int]) -> tuple[int, int, int]:
     if mirrored == w and w:
         return 1, 1, 1
     rev = PalindromeIndex(mirrored, track_min=True)
-    p, lg = rev.min_factors[-1], len(_right_greedy_spans(rev.lps))
+    p, lg = rev.min_factors[-1], _right_greedy_count(rev.lps)
     del rev, mirrored  # one index alive at a time: on rich words each is large
-    rg = len(_right_greedy_spans(PalindromeIndex(w).lps))
+    rg = _right_greedy_count(PalindromeIndex(w).lps)
     if p > min(lg, rg):
         raise RuntimeError(
             f"greedy counts ({lg}, {rg}) undercut the minimum {p} on {Word(w)}"

@@ -8,7 +8,6 @@ paths on purpose so each can check the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .eertree import PalindromeIndex
@@ -17,11 +16,13 @@ from .streams import materialize
 from .words import Decomposition, Word
 
 
-@dataclass(frozen=True)
 class PalPrefixTable:
     """values[i] = minimum palindromic factor count of the length-i prefix."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        self.values = values
 
     def __len__(self) -> int:
         return len(self.values) - 1
@@ -56,7 +57,6 @@ def pal_fast(w: Sequence[int]) -> tuple[int, PalPrefixTable]:
     return values[-1], PalPrefixTable(values)
 
 
-@dataclass(frozen=True)
 class MinimalFactorizations:
     """All decompositions into the minimum number of palindromes, with the
     word's left- and right-greedy decompositions.
@@ -65,12 +65,18 @@ class MinimalFactorizations:
     ``truncated`` is set when enumeration stopped at the requested limit.
     """
 
-    word: Word
-    count: int
-    decompositions: tuple[Decomposition, ...]
-    truncated: bool
-    left_greedy: Decomposition
-    right_greedy: Decomposition
+    __slots__ = ("word", "count", "decompositions", "truncated", "left_greedy",
+                 "right_greedy")
+
+    def __init__(self, word: Word, count: int,
+                 decompositions: tuple[Decomposition, ...], truncated: bool,
+                 left_greedy: Decomposition, right_greedy: Decomposition):
+        self.word = word
+        self.count = count
+        self.decompositions = decompositions
+        self.truncated = truncated
+        self.left_greedy = left_greedy
+        self.right_greedy = right_greedy
 
     def __iter__(self):
         return iter(self.decompositions)
@@ -100,7 +106,9 @@ def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactori
     so every branch it enters ends in a decomposition.  Beyond two index
     builds, its cost is the size of what it reports plus, for each cut it
     reaches, the palindromes starting there.  Each distinct span is one
-    tuple object and is checked to be a palindrome once.
+    tuple object and is checked to be a palindrome once.  A non-empty
+    palindrome builds no index: the whole word is its only minimal
+    decomposition and both greedy ones.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -110,6 +118,10 @@ def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactori
         return MinimalFactorizations(word, 0, (empty,), False, empty, empty)
     symbols = tuple(word)
     n = len(symbols)
+    if symbols == symbols[::-1]:
+        # flagged at limit 1 as the search below flags any full list
+        whole = Decomposition(((1, n),))
+        return MinimalFactorizations(word, 1, (whole,), limit == 1, whole, whole)
     # one index alive at a time: on rich words each is large
     fwd = PalindromeIndex(symbols, track_min=True)
     values = fwd.min_factors

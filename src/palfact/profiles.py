@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .eertree import PalindromeIndex
 from .greedy import running_max, right_greedy_counts
 from .pallen import _first_hits
 from .streams import materialize, spec_of
 
 
-@dataclass
 class PrefixProfile:
     """Per-prefix record for prefixes 1..horizon of one word or stream.
 
@@ -19,11 +16,15 @@ class PrefixProfile:
     running maxima ``max_*`` are computed when read; only CSV prints them.
     """
 
-    word_spec: str
-    pal: list[int]
-    lgpal: list[int]
-    rgpal: list[int]
-    first_attainment: dict[int, int | None] = field(default_factory=dict)
+    __slots__ = ("word_spec", "pal", "lgpal", "rgpal", "first_attainment")
+
+    def __init__(self, word_spec: str, pal: list[int], lgpal: list[int],
+                 rgpal: list[int], first_attainment: dict[int, int | None] | None = None):
+        self.word_spec = word_spec
+        self.pal = pal
+        self.lgpal = lgpal
+        self.rgpal = rgpal
+        self.first_attainment = {} if first_attainment is None else first_attainment
 
     @property
     def horizon(self) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, le, sub
 from typing import Iterable, Sequence, Union
@@ -82,15 +81,29 @@ class Word(tuple):
         return tuple.__getitem__(self, item)
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """Ordered palindromic spans tiling a word; 1-based inclusive bounds.
 
     The one type of a palindromic tiling: minimal, left- and right-greedy
-    decompositions alike.
+    decompositions alike.  Two decompositions are equal when their spans
+    are.
     """
 
-    spans: tuple[tuple[int, int], ...]
+    __slots__ = ("spans",)
+
+    def __init__(self, spans: tuple[tuple[int, int], ...]):
+        self.spans = spans
+
+    def __eq__(self, other):
+        if type(other) is not Decomposition:
+            return NotImplemented
+        return self.spans == other.spans
+
+    def __hash__(self) -> int:
+        return hash(self.spans)
+
+    def __repr__(self) -> str:
+        return f"Decomposition(spans={self.spans!r})"
 
     def __len__(self) -> int:
         return len(self.spans)

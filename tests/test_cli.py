@@ -15,6 +15,7 @@ import pytest
 import palfact.analysis
 import palfact.cli
 import palfact.experiments
+import palfact.pallen
 from palfact import Periodic, Word, build_profile, classify_bound2, search_prefix_floor
 from palfact.cli import _json_doc, main
 from palfact.greedy import running_max
@@ -487,6 +488,36 @@ def test_index_builds_per_command(capsys, index_builds, argv, builds):
     assert len(index_builds) == builds
 
 
+# SHA-256 of the stdout of decompose on a palindrome, recorded before it
+# answered without an index; --limit 1 flags its one decomposition as
+# truncated, as the search does.
+PALINDROME_DIGESTS = [
+    (("decompose", "multibonacci:17", "--format", "json"),
+     "759e688621d9fe27557454100f264fbed3edd04bad5c1a7b514a518deca830e9"),
+    (("decompose", "multibonacci:17", "--format", "json", "--limit", "1"),
+     "bb16048b3c8691cab34ee65666369011c017703eabfcd6be904d91e55db46aa2"),
+    (("decompose", "multibonacci:17", "--limit", "1"),
+     "187c52337242fab0e3fe9ce806966bb038e1f169d522d8f83785d9333d8a7bfc"),
+    (("decompose", "uladder:11", "--format", "json"),
+     "819a720f9b5e74fa98c864623b21d8583e0e92e72c460576f58784bd1e19fb07"),
+    (("decompose", "uladder:11", "--limit", "1"),
+     "38bcdb22cdbb3edf3785ae1dd21e535b348ddfab183461468fb119ad2a8293a2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PALINDROME_DIGESTS,
+                         ids=[" ".join(argv[1:]) for argv, _ in PALINDROME_DIGESTS])
+def test_decompose_answers_a_palindrome_without_an_index(capsys, monkeypatch,
+                                                         argv, digest):
+    def no_index(*args, **kwargs):
+        raise AssertionError("built an index")
+
+    monkeypatch.setattr(palfact.pallen, "PalindromeIndex", no_index)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sha(out) == digest
+
+
 class Side(IntEnum):
     LEFT = 1
     RIGHT = 2
@@ -659,7 +690,7 @@ def test_json_writer_renders_int_lists_like_json_dumps(values):
     # back without changing a byte
     for obj in (values, {"a": values, "b": [values, values]}):
         out = []
-        palfact.cli._dump(obj, "", {}, out)
+        palfact.cli._dump(obj, "", {}, out, json.dumps)
         assert "".join(out) == json.dumps(obj, indent=2)
 
 
@@ -806,10 +837,13 @@ def test_help_in_a_new_process_matches_the_pinned_digest():
     assert sha(fresh_process("--help")) == HELP_DIGESTS[0][2]
 
 
-# Modules that only bounds, next, verify and experiments run, and the pool
-# that only run_suites starts.
+# Modules that only bounds, next, verify and experiments run, the pool that
+# only run_suites starts, the dataclasses chain (dataclasses imports inspect)
+# that only those commands' records need, and json, which only JSON output
+# needs.
 DEFERRED_MODULES = ("palfact.analysis", "palfact.experiments", "palfact.oracles",
-                    "palfact.engine", "multiprocessing", "concurrent.futures")
+                    "palfact.engine", "multiprocessing", "concurrent.futures",
+                    "dataclasses", "inspect", "json")
 
 
 def loaded_in_fresh_process(code):
@@ -833,12 +867,14 @@ def test_cli_start_up_does_not_import_the_suite_pool():
 
 @pytest.mark.parametrize("argv,loaded", [
     (["len", "lit:abaab"], []),
-    (["decompose", "lit:aabaab", "--format", "json"], []),
+    (["decompose", "lit:aabaab"], []),
+    (["decompose", "lit:aabaab", "--format", "json"], ["json"]),
     (["profile", "fib", "--horizon", "200"], []),
-    (["next", "lit:aab", "--max-len", "16"], ["palfact.analysis", "palfact.engine"]),
+    (["next", "lit:aab", "--max-len", "16"],
+     ["dataclasses", "inspect", "palfact.analysis", "palfact.engine"]),
     (["bounds", "periodic:ab", "--horizon", "100", "--window", "10"],
-     ["palfact.analysis", "palfact.engine"]),
-], ids=["len", "decompose", "profile", "next", "bounds"])
+     ["dataclasses", "inspect", "palfact.analysis", "palfact.engine"]),
+], ids=["len", "decompose", "decompose-json", "profile", "next", "bounds"])
 def test_each_command_loads_only_what_it_runs(argv, loaded):
     code = ("import contextlib, io\nfrom palfact.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -2,6 +2,7 @@
 use, to the object its module defines."""
 
 import importlib
+import pickle
 
 import pytest
 
@@ -85,3 +86,24 @@ def test_deferred_exports_do_not_keep_a_tracer_wrapper():
         patches.undo()
     assert palfact.bound_report is palfact.analysis.bound_report
     assert "bound_report" not in vars(palfact)
+
+
+def test_records_keep_their_constructors_and_pickle():
+    # verify's workers return results through a process pool, so the
+    # start-up records must survive pickling
+    spans = ((1, 3), (4, 4))
+    dec = palfact.Decomposition(spans=spans)
+    table = palfact.PalPrefixTable(values=(0, 1, 2))
+    facts = palfact.MinimalFactorizations(palfact.Word("abaa"), 2, (dec,), False,
+                                          left_greedy=dec, right_greedy=dec)
+    profile = palfact.PrefixProfile("lit:ab", [1, 2], [1, 2], [1, 2])
+    assert profile.first_attainment == {}
+    profile.first_attainment[1] = 1
+    assert palfact.PrefixProfile("lit:a", [1], [1], [1]).first_attainment == {}
+    for record in (dec, table, facts, profile):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        assert all(getattr(copy, name) == getattr(record, name)
+                   for name in type(record).__slots__)
+    assert dec == palfact.Decomposition(spans) != palfact.Decomposition(spans[:1])
+    assert hash(dec) == hash(palfact.Decomposition(spans))
