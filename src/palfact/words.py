@@ -99,9 +99,6 @@ class Decomposition:
             return NotImplemented
         return self.spans == other.spans
 
-    def __hash__(self) -> int:
-        return hash(self.spans)
-
     def __repr__(self) -> str:
         return f"Decomposition(spans={self.spans!r})"
 

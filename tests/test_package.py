@@ -106,4 +106,3 @@ def test_records_keep_their_constructors_and_pickle():
         assert all(getattr(copy, name) == getattr(record, name)
                    for name in type(record).__slots__)
     assert dec == palfact.Decomposition(spans) != palfact.Decomposition(spans[:1])
-    assert hash(dec) == hash(palfact.Decomposition(spans))
