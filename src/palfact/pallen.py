@@ -106,9 +106,7 @@ def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactori
     so every branch it enters ends in a decomposition.  Beyond two index
     builds, its cost is the size of what it reports plus, for each cut it
     reaches, the palindromes starting there.  Each distinct span is one
-    tuple object and is checked to be a palindrome once.  A non-empty
-    palindrome builds no index: the whole word is its only minimal
-    decomposition and both greedy ones.
+    tuple object and is checked to be a palindrome once.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -118,10 +116,6 @@ def minimal_factorizations(w: Sequence[int], limit: int = 100) -> MinimalFactori
         return MinimalFactorizations(word, 0, (empty,), False, empty, empty)
     symbols = tuple(word)
     n = len(symbols)
-    if symbols == symbols[::-1]:
-        # flagged at limit 1 as the search below flags any full list
-        whole = Decomposition(((1, n),))
-        return MinimalFactorizations(word, 1, (whole,), limit == 1, whole, whole)
     # one index alive at a time: on rich words each is large
     fwd = PalindromeIndex(symbols, track_min=True)
     values = fwd.min_factors

@@ -15,7 +15,6 @@ import pytest
 import palfact.analysis
 import palfact.cli
 import palfact.experiments
-import palfact.pallen
 from palfact import Periodic, Word, build_profile, classify_bound2, search_prefix_floor
 from palfact.cli import _json_doc, main
 from palfact.greedy import running_max
@@ -486,36 +485,6 @@ def test_index_builds_per_command(capsys, index_builds, argv, builds):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(index_builds) == builds
-
-
-# SHA-256 of the stdout of decompose on a palindrome, recorded before it
-# answered without an index; --limit 1 flags its one decomposition as
-# truncated, as the search does.
-PALINDROME_DIGESTS = [
-    (("decompose", "multibonacci:17", "--format", "json"),
-     "759e688621d9fe27557454100f264fbed3edd04bad5c1a7b514a518deca830e9"),
-    (("decompose", "multibonacci:17", "--format", "json", "--limit", "1"),
-     "bb16048b3c8691cab34ee65666369011c017703eabfcd6be904d91e55db46aa2"),
-    (("decompose", "multibonacci:17", "--limit", "1"),
-     "187c52337242fab0e3fe9ce806966bb038e1f169d522d8f83785d9333d8a7bfc"),
-    (("decompose", "uladder:11", "--format", "json"),
-     "819a720f9b5e74fa98c864623b21d8583e0e92e72c460576f58784bd1e19fb07"),
-    (("decompose", "uladder:11", "--limit", "1"),
-     "38bcdb22cdbb3edf3785ae1dd21e535b348ddfab183461468fb119ad2a8293a2"),
-]
-
-
-@pytest.mark.parametrize("argv,digest", PALINDROME_DIGESTS,
-                         ids=[" ".join(argv[1:]) for argv, _ in PALINDROME_DIGESTS])
-def test_decompose_answers_a_palindrome_without_an_index(capsys, monkeypatch,
-                                                         argv, digest):
-    def no_index(*args, **kwargs):
-        raise AssertionError("built an index")
-
-    monkeypatch.setattr(palfact.pallen, "PalindromeIndex", no_index)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert sha(out) == digest
 
 
 class Side(IntEnum):
