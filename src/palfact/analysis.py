@@ -5,7 +5,6 @@ streams whose prefixes stay within two palindromic factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .eertree import PalindromeIndex, SharedEertree
@@ -38,7 +37,6 @@ def _windowed_factor_max(w: Sequence[int], window: int) -> int:
     return best
 
 
-@dataclass
 class BoundReport:
     """Finite-horizon evidence about prefix/factor factor-count bounds.
 
@@ -46,12 +44,18 @@ class BoundReport:
     so it is evidence, never a decision procedure.
     """
 
-    word_spec: str
-    horizon: int
-    factor_window: int
-    prefix_max: int
-    factor_max: int
-    verdicts: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("word_spec", "horizon", "factor_window", "prefix_max",
+                 "factor_max", "verdicts")
+
+    def __init__(self, word_spec: str, horizon: int, factor_window: int,
+                 prefix_max: int, factor_max: int,
+                 verdicts: dict[str, str] | None = None):
+        self.word_spec = word_spec
+        self.horizon = horizon
+        self.factor_window = factor_window
+        self.prefix_max = prefix_max
+        self.factor_max = factor_max
+        self.verdicts = {} if verdicts is None else verdicts
 
     def to_json(self) -> dict:
         return {
@@ -107,7 +111,6 @@ def alphabet_bound_check(stream, horizon: int) -> str:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NextSet:
     """Palindromes properly extending ``base`` such that every proper
     palindromic prefix is a prefix of ``base`` and every prefix decomposes
@@ -117,10 +120,14 @@ class NextSet:
     empty result is only conclusive when it is empty as well.
     """
 
-    base: Word
-    max_len: int
-    palindromes: tuple[Word, ...]
-    open_branches: tuple[Word, ...]
+    __slots__ = ("base", "max_len", "palindromes", "open_branches")
+
+    def __init__(self, base: Word, max_len: int, palindromes: tuple[Word, ...],
+                 open_branches: tuple[Word, ...]):
+        self.base = base
+        self.max_len = max_len
+        self.palindromes = palindromes
+        self.open_branches = open_branches
 
     def __iter__(self):
         return iter(self.palindromes)
@@ -275,16 +282,24 @@ def _rep(block, k):
     return tuple(block) * k
 
 
-@dataclass(frozen=True)
 class ItemVerdict:
-    item: int
-    params: dict
-    base: Word
-    expected: tuple[Word, ...]
-    observed: tuple[Word, ...]
-    open_count: int
-    status: str  # "pass" | "fail"
-    counterexample: Optional[str] = None
+    """One parameter choice of one next-set family: the closed form's
+    members against the enumeration's."""
+
+    __slots__ = ("item", "params", "base", "expected", "observed", "open_count",
+                 "status", "counterexample")
+
+    def __init__(self, item: int, params: dict, base: Word,
+                 expected: tuple[Word, ...], observed: tuple[Word, ...],
+                 open_count: int, status: str, counterexample: Optional[str] = None):
+        self.item = item
+        self.params = params
+        self.base = base
+        self.expected = expected
+        self.observed = observed
+        self.open_count = open_count
+        self.status = status  # "pass" | "fail"
+        self.counterexample = counterexample
 
 
 def _family_members(item: int, i: int, j: int, k: int, alpha: int, cap: int) -> list[Word]:
@@ -449,7 +464,6 @@ def verify_next_closed_forms(
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class Classification:
     """Which closed family (if any) matches the observed periodic structure.
 
@@ -460,14 +474,20 @@ class Classification:
     factors by shape.
     """
 
-    word_spec: str
-    horizon: int
-    periodic: bool
-    period: Optional[int]
-    family: Optional[str]
-    params: dict
-    bplf2: Optional[tuple[int, int]]
-    report: BoundReport
+    __slots__ = ("word_spec", "horizon", "periodic", "period", "family", "params",
+                 "bplf2", "report")
+
+    def __init__(self, word_spec: str, horizon: int, periodic: bool,
+                 period: Optional[int], family: Optional[str], params: dict,
+                 bplf2: Optional[tuple[int, int]], report: BoundReport):
+        self.word_spec = word_spec
+        self.horizon = horizon
+        self.periodic = periodic
+        self.period = period
+        self.family = family
+        self.params = params
+        self.bplf2 = bplf2
+        self.report = report
 
     def to_json(self) -> dict:
         return {

@@ -18,7 +18,7 @@ from .greedy import gap_witness
 from .pallen import minimal_factorizations
 from .profiles import build_profile
 from .streams import DSL_GRAMMAR, InfiniteWord, parse_spec
-from .words import Word, render, render_style
+from .words import Word, letter_texts, render, render_style
 
 SCHEMA_VERSION = 1
 
@@ -308,24 +308,29 @@ def cmd_next(args) -> int:
 
     w = _need_finite(args.word, args.cap)
     ns = enumerate_next(w, args.max_len)
+    # the search runs over {a, b}, so every word of the report is in letters
+    base = ns.base.letters()
+    members = letter_texts(ns.palindromes)
+    opens = letter_texts(ns.open_branches)
     if args.format == "json":
         _emit(
             _json_doc({
                 "command": "next",
-                "base": str(ns.base),
+                "base": base,
                 "max_len": ns.max_len,
-                "palindromes": [str(p) for p in ns.palindromes],
-                "open_branches": [str(p) for p in ns.open_branches],
+                "palindromes": members,
+                "open_branches": opens,
             }),
             args.out,
         )
     else:
-        lines = [f"base: {ns.base} (cap {ns.max_len})",
-                 f"palindromes ({len(ns.palindromes)}):"]
-        lines.extend(f"  {p}" for p in ns.palindromes)
-        lines.append(f"open branches ({len(ns.open_branches)}):")
-        lines.extend(f"  {p}" for p in ns.open_branches)
-        _emit("\n".join(lines) + "\n", args.out)
+        # one joined piece per list: a member list can run to many megabytes
+        pieces = [f"base: {base} (cap {ns.max_len})\n"]
+        for title, texts in (("palindromes", members), ("open branches", opens)):
+            pieces.append(f"{title} ({len(texts)}):\n")
+            if texts:
+                pieces += ("  ", "\n  ".join(texts), "\n")
+        _emit(pieces, args.out)
     return 0
 
 

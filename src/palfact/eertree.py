@@ -35,7 +35,9 @@ reads of already-indexed positions are safe between writes.
 ``SharedEertree`` is the backtracking searches' tree: the same length, link
 and transition columns (no series links) and the same sentinel word, for one
 branch that ``push`` grows a symbol at a time and ``truncate`` cuts back.
-Nodes outlive the branch that made them, so every branch shares them.
+Nodes outlive the branch that made them, so every branch shares them.  It
+inserts by direct links instead of the walks, since their amortized bound
+does not survive cuts.
 """
 
 from __future__ import annotations
@@ -328,8 +330,8 @@ class SharedEertree:
     """Eertree of one backtracking branch, with nodes shared across branches.
 
     A node is identified by its palindrome's symbol content, so lengths,
-    suffix links and transitions computed while exploring one branch remain
-    valid on every other branch over the same alphabet.  The tree also owns
+    suffix links, direct links and transitions computed while exploring one
+    branch remain valid on every other branch.  The tree also owns
     the branch, in three lists indexed by prefix length and kept equally
     long: ``word`` (``word[0]`` is the ``None`` sentinel of
     ``PalindromeIndex``, symbol k sits at ``word[k + 1]``), ``nodes`` (the
@@ -340,13 +342,22 @@ class SharedEertree:
     reuse.  The prefix of length ``n`` is a palindrome exactly when
     ``lens[nodes[n]] == n``.  Transitions use the same layout as
     ``PalindromeIndex``: ``trans[c][v]`` is the child of node v by c.
+
+    ``direct[v]`` maps a symbol c to the longest proper palindromic suffix
+    of v that c precedes inside v; a symbol it does not list maps to the
+    imaginary root (Rubinchik and Shur, EERTREE, European J. Combin. 68,
+    2018).  So an append finds the node to extend and a new node's suffix
+    link with one lookup each, with no walk whose amortized bound breaks
+    when pushes and cuts alternate.  A table holds at most one entry per
+    symbol of the alphabet.
     """
 
-    __slots__ = ("lens", "link", "trans", "word", "nodes", "dp")
+    __slots__ = ("lens", "link", "direct", "trans", "word", "nodes", "dp")
 
     def __init__(self):
         self.lens = [-1, 0]
         self.link = [0, 0]
+        self.direct: list[dict[int, int]] = [{}, {}]
         self.trans: dict[int, dict[int, int]] = {}
         self.word: list[int | None] = [None]
         self.nodes = [1]
@@ -355,50 +366,68 @@ class SharedEertree:
     def advance(self, c: int) -> int:
         """Append ``c`` to ``word`` and the node of the new longest
         palindromic suffix to ``nodes``; return that node.  ``dp`` is left
-        to the caller (see ``push``)."""
+        to the caller (see ``push``).
+
+        The node to extend is the current longest palindromic suffix when
+        c precedes it, else its direct link by c.  A new node c v c links
+        to c u c, u the direct link of v by c, and its table is its link's
+        with one entry set: the symbol that precedes the link in c v c.
+        """
         word = self.word
         lens = self.lens
-        link = self.link
-        trans = self.trans
-        nodes = self.nodes
+        direct = self.direct
         n = len(word) - 1
         word.append(c)
-        v = nodes[-1]
-        while word[n - lens[v]] != c:
-            v = link[v]
-        tc = trans.get(c)
+        v = self.nodes[-1]
+        if word[n - lens[v]] != c:
+            v = direct[v].get(c, 0)
+        tc = self.trans.get(c)
         if tc is None:
-            tc = trans[c] = {}
+            tc = self.trans[c] = {}
         nxt = tc.get(v)
         if nxt is None:
-            if v == 0:
-                lk = 1
-            else:
-                u = link[v]
-                while word[n - lens[u]] != c:
-                    u = link[u]
-                lk = tc[u]
+            # c u c is a suffix of the palindrome c v c, so also a prefix:
+            # it ended earlier on this branch and has a node
+            lk = tc[direct[v].get(c, 0)] if v else 1
             nxt = len(lens)
             lens.append(lens[v] + 2)
-            link.append(lk)
+            self.link.append(lk)
+            table = direct[lk].copy()
+            table[word[n + 1 - lens[lk]]] = lk
+            direct.append(table)
             tc[v] = nxt
-        nodes.append(nxt)
+        self.nodes.append(nxt)
         return nxt
 
     def push(self, c: int) -> int:
         """Append ``c`` to the branch; return the new prefix's minimum
         palindromic factor count, one plus the least ``dp[n - s]`` over its
-        palindromic suffix lengths ``s``."""
+        palindromic suffix lengths ``s``.
+
+        The walk over those suffixes, longest first, stops at the first
+        value at most ``max(dp[n - 1] - 2, 1)``, which no later one can
+        beat.  The counts of consecutive prefixes differ by at most one:
+        dropping the last letter of a factorization's last palindrome a Q a
+        leaves a . Q, one factor more, so dp[n - 1] <= dp[n] + 1 and the
+        least value is at least dp[n - 1] - 2.  And only the whole prefix
+        reads dp[0] = 0, while it comes first in the walk, so every later
+        value is at least 1.
+        """
         v = self.advance(c)
         lens = self.lens
         link = self.link
         dp = self.dp
         n = len(dp)
+        floor = dp[-1] - 2
+        if floor < 1:
+            floor = 1
         best = n
         while lens[v] > 0:
             x = dp[n - lens[v]]
             if x < best:
                 best = x
+                if x <= floor:
+                    break
             v = link[v]
         best += 1
         dp.append(best)

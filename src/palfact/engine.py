@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .eertree import PalindromeIndex
@@ -10,13 +9,15 @@ from .streams import materialize, spec_of
 from .words import is_palindrome
 
 
-@dataclass(frozen=True)
 class PalindromicPrefixSeq:
     """Strictly increasing lengths of all palindromic prefixes up to a horizon."""
 
-    word_spec: str
-    horizon: int
-    lengths: tuple[int, ...]
+    __slots__ = ("word_spec", "horizon", "lengths")
+
+    def __init__(self, word_spec: str, horizon: int, lengths: tuple[int, ...]):
+        self.word_spec = word_spec
+        self.horizon = horizon
+        self.lengths = lengths
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -25,12 +26,14 @@ class PalindromicPrefixSeq:
         return iter(self.lengths)
 
 
-@dataclass(frozen=True)
 class GapSequence:
     """Consecutive differences of a palindromic-prefix length sequence."""
 
-    gaps: tuple[int, ...]
-    monotone: bool
+    __slots__ = ("gaps", "monotone")
+
+    def __init__(self, gaps: tuple[int, ...], monotone: bool):
+        self.gaps = gaps
+        self.monotone = monotone
 
     def stabilized_gap(self, repeats: int = 3) -> Optional[int]:
         """The eventual gap value, if the tail holds it at least ``repeats``

@@ -12,6 +12,10 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _TEXT = re.compile("[a-z0-9]*")
 _TEXT_SYMBOLS = bytes.maketrans(_LETTERS.encode() + b"0123456789",
                                 bytes(range(26)) + bytes(range(10)))
+# The way back: symbols 0..25 as letters and 0..9 as digits.  Every other
+# byte maps to itself, so a space can separate words.
+_LETTER_TEXT = bytes.maketrans(bytes(range(26)), _LETTERS.encode())
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _symbols_from_text(text: str) -> tuple[int, ...]:
@@ -155,11 +159,24 @@ def render_style(w: "Word") -> str:
 
 
 def _join(w: "Word", style: str) -> str:
-    """Render a word in ``style`` with one C-level join, trusting that its
-    symbols fit the notation."""
-    if style == "letters":
-        return "".join(map(_LETTERS.__getitem__, w))
-    return ("" if style == "digits" else ".").join(map(str, w))
+    """Render a word in ``style`` in C, trusting that its symbols fit the
+    notation."""
+    if style == "ints":
+        return ".".join(map(str, w))
+    table = _LETTER_TEXT if style == "letters" else _DIGIT_TEXT
+    return bytes(w).translate(table).decode("ascii")
+
+
+def letter_texts(words: Sequence[Sequence[int]]) -> list[str]:
+    """Each of ``words`` in letters, trusting that its symbols are 0..25.
+
+    The words are joined by spaces, translated and split again, so no
+    Python code runs per word or per symbol.
+    """
+    if not words:
+        return []
+    text = b" ".join(map(bytes, words)).translate(_LETTER_TEXT).decode("ascii")
+    return text.split(" ")
 
 
 def render(w: "Word", style: str) -> str:

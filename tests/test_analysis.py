@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import palfact.analysis
 from palfact import (
     AmbiguousHorizon,
     EventuallyPeriodic,
@@ -99,6 +100,40 @@ def test_enumerate_next_builds_no_index(index_builds):
     for base, cap in [("aab", 24), ("ab", 32), ("abbab", 20), ("abaab", 5), ("a", 1)]:
         enumerate_next(w(base), cap)
     assert index_builds == []
+
+
+class CountedReads(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_enumerate_next_reads_few_suffix_links_per_push(monkeypatch):
+    # The spine a b^m has m palindromic suffixes.  Walking them all at each
+    # push read about 2 million suffix links at max_len 2000, 500 a push.
+    links = CountedReads()
+    pushes = []
+
+    class CountedTree(palfact.analysis.SharedEertree):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            links.extend(self.link)
+            self.link = links
+
+        def push(self, c):
+            pushes.append(c)
+            return super().push(c)
+
+    monkeypatch.setattr(palfact.analysis, "SharedEertree", CountedTree)
+    assert len(enumerate_next([0], 2000)) == 1999
+    assert len(pushes) > 3000
+    assert links.reads < 2 * len(pushes)
 
 
 def test_enumerate_next_base_needing_three_factors_is_empty():

@@ -106,6 +106,31 @@ def test_next_command(capsys):
     assert "aba" in out and "abba" in out
 
 
+# Bases over b alone: every word of the report is over {a, b}, so all of it
+# is in letters, although str() would print a word with no a in digits.
+NEXT_IN_LETTERS = {
+    "lit:b": ("b", ["bb", "bab", "baab", "baaab", "baaaab"], ["baaaaa"]),
+    "lit:bb": ("bb", ["bbb", "bbabb", "bbaabb"], ["bbaaaa", "bbaaab", "bbabab"]),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(NEXT_IN_LETTERS))
+def test_next_reports_every_word_in_letters(capsys, spec):
+    base, members, opens = NEXT_IN_LETTERS[spec]
+    code, out, _ = run_cli(capsys, "next", spec, "--max-len", "6")
+    assert code == 0
+    assert out == "\n".join([f"base: {base} (cap 6)",
+                             f"palindromes ({len(members)}):",
+                             *("  " + m for m in members),
+                             f"open branches ({len(opens)}):",
+                             *("  " + o for o in opens)]) + "\n"
+    code, out, _ = run_cli(capsys, "next", spec, "--max-len", "6", "--format", "json")
+    assert code == 0
+    doc = {"schema_version": 1, "command": "next", "base": base, "max_len": 6,
+           "palindromes": members, "open_branches": opens}
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_next_runs_deep_unary_tails(capsys):
     # the members are aa and ab^n a, so the search walks the spine ab^n to
     # the cap, one symbol deeper at each step
@@ -808,8 +833,8 @@ def test_help_in_a_new_process_matches_the_pinned_digest():
 
 # Modules that only bounds, next, verify and experiments run, the pool that
 # only run_suites starts, the dataclasses chain (dataclasses imports inspect)
-# that only those commands' records need, and json, which only JSON output
-# needs.
+# that only the records of verify and experiments need, and json, which only
+# JSON output needs.
 DEFERRED_MODULES = ("palfact.analysis", "palfact.experiments", "palfact.oracles",
                     "palfact.engine", "multiprocessing", "concurrent.futures",
                     "dataclasses", "inspect", "json")
@@ -839,10 +864,9 @@ def test_cli_start_up_does_not_import_the_suite_pool():
     (["decompose", "lit:aabaab"], []),
     (["decompose", "lit:aabaab", "--format", "json"], ["json"]),
     (["profile", "fib", "--horizon", "200"], []),
-    (["next", "lit:aab", "--max-len", "16"],
-     ["dataclasses", "inspect", "palfact.analysis", "palfact.engine"]),
+    (["next", "lit:aab", "--max-len", "16"], ["palfact.analysis", "palfact.engine"]),
     (["bounds", "periodic:ab", "--horizon", "100", "--window", "10"],
-     ["dataclasses", "inspect", "palfact.analysis", "palfact.engine"]),
+     ["palfact.analysis", "palfact.engine"]),
 ], ids=["len", "decompose", "decompose-json", "profile", "next", "bounds"])
 def test_each_command_loads_only_what_it_runs(argv, loaded):
     code = ("import contextlib, io\nfrom palfact.cli import main\n"

@@ -179,14 +179,28 @@ def test_longest_suffix_leq_against_spans():
                 assert idx.longest_suffix_leq(pos, cap) == want
 
 
+def links_by_definition(text, ids):
+    """The suffix link and the direct links of the node of palindrome
+    ``text``, from its proper palindromic suffixes, longest first: the
+    longest of them, and per symbol the longest one that the symbol
+    precedes inside ``text``.  ``ids`` maps palindromes to node ids."""
+    suffixes = [text[k:] for k in range(1, len(text) + 1) if text[k:] == text[k:][::-1]]
+    direct = {}
+    for s in suffixes:
+        direct.setdefault(text[-len(s) - 1], ids[s])
+    return (ids[suffixes[0]] if text else 0), direct
+
+
 def test_shared_eertree_push_pop_walks():
     # seeded walks that grow one branch (kept under 80 letters) and cut it
     # back by one symbol or to a random shorter length; after every step the
-    # table and palindrome test match a fresh computation.  The raw symbol
-    # -1 guards the sentinel at word[0].
+    # table and palindrome test match a fresh computation, and so do every
+    # node's suffix link and direct links.  The raw symbol -1 guards the
+    # sentinel at word[0].
     rng = random.Random(11)
     for alphabet in ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (-1, 0), LARGE_SYMBOLS):
         tree = SharedEertree()
+        texts = {1: ()}  # node id -> its palindrome, read off the branch
         for _ in range(2000):
             n = len(tree.word) - 1
             r = rng.random()
@@ -195,10 +209,18 @@ def test_shared_eertree_push_pop_walks():
             else:
                 val = tree.push(rng.choice(alphabet))
                 assert val == tree.dp[-1]
+                v = tree.nodes[-1]
+                texts.setdefault(v, tuple(tree.word[len(tree.word) - tree.lens[v]:]))
             word = tree.word[1:]
             assert len(tree.word) == len(tree.nodes) == len(tree.dp)
             assert tuple(tree.dp) == pal_dp(word)[1].values
             assert (tree.lens[tree.nodes[-1]] == len(word)) == (word == word[::-1])
+            # a push makes at most one node: the new longest suffix
+            assert len(texts) == len(tree.lens) - 1 == len(tree.direct) - 1
+            ids = {text: v for v, text in texts.items()}
+            assert tree.direct[0] == {}
+            for v, text in texts.items():
+                assert (tree.link[v], tree.direct[v]) == links_by_definition(text, ids)
 
 
 def left_counts(w):

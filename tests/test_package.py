@@ -90,7 +90,7 @@ def test_deferred_exports_do_not_keep_a_tracer_wrapper():
 
 def test_records_keep_their_constructors_and_pickle():
     # verify's workers return results through a process pool, so the
-    # start-up records must survive pickling
+    # records must survive pickling
     spans = ((1, 3), (4, 4))
     dec = palfact.Decomposition(spans=spans)
     table = palfact.PalPrefixTable(values=(0, 1, 2))
@@ -100,9 +100,30 @@ def test_records_keep_their_constructors_and_pickle():
     assert profile.first_attainment == {}
     profile.first_attainment[1] = 1
     assert palfact.PrefixProfile("lit:a", [1], [1], [1]).first_attainment == {}
-    for record in (dec, table, facts, profile):
+    # the records of bounds and next are plain classes too
+    word = palfact.Word("ab")
+    report = palfact.BoundReport("lit:ab", 2, 1, 2, 1)
+    assert report.verdicts == {}
+    report.verdicts["x"] = "pass"
+    assert palfact.BoundReport("lit:a", 1, 1, 1, 1).verdicts == {}
+    cls = palfact.Classification("lit:ab", 2, True, 2, "a^w", {"a": 0}, (0, 1),
+                                 report=report)
+    ns = palfact.NextSet(word, 4, (palfact.Word("aba"),), ())
+    assert (list(ns), len(ns)) == ([(0, 1, 0)], 1)
+    verdict = palfact.analysis.ItemVerdict(item=1, params={"i": 1}, base=word,
+                                           expected=(), observed=(), open_count=0,
+                                           status="pass")
+    assert verdict.counterexample is None
+    seq = palfact.PalindromicPrefixSeq("lit:aba", 3, (1, 3))
+    assert (list(seq), len(seq)) == ([1, 3], 2)
+    gaps = palfact.GapSequence(gaps=(2, 2, 2), monotone=True)
+    assert gaps.stabilized_gap() == 2
+    for record in (dec, table, facts, profile, report, ns, verdict, seq, gaps):
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record)
         assert all(getattr(copy, name) == getattr(record, name)
                    for name in type(record).__slots__)
     assert dec == palfact.Decomposition(spans) != palfact.Decomposition(spans[:1])
+    copy = pickle.loads(pickle.dumps(cls))
+    assert copy.report.verdicts == {"x": "pass"}
+    assert copy.to_json() == cls.to_json()
