@@ -8,11 +8,12 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .eertree import PalindromeIndex, SharedEertree
-from .engine import gap_sequence, palindromic_prefix_lengths
+from .engine import (gap_sequence, palindromic_prefix_lengths,
+                     product_of_two_palindromes)
 from .errors import AmbiguousHorizon
 from .pallen import pal_dp
-from .streams import materialize, spec_of
-from .words import Word, is_palindrome
+from .streams import EventuallyPeriodic, InfiniteWord, Periodic, materialize, spec_of
+from .words import Word, failure_table, is_palindrome
 
 
 def _windowed_factor_max(w: Sequence[int], window: int) -> int:
@@ -75,12 +76,51 @@ def _prefix_statistics(w: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return max(idx.min_factors[1:], default=0), palindromic_prefix_lengths(idx.lps)
 
 
-def _binary_rule(w: Sequence[int], prefix_max: int, pp: Sequence[int]) -> str:
-    """If every prefix fits in two palindromic factors and there are at least
-    three palindromic prefixes, the alphabet must be binary."""
-    if prefix_max > 2 or len(pp) < 3:
+def _infinitely_many_palindromic_prefixes(head: Sequence[int],
+                                          period: Sequence[int]) -> bool:
+    """Whether the stream head period^w has infinitely many palindromic
+    prefixes.
+
+    u v^w with u ending in v's last letter is u minus that letter, then v
+    rotated by one, repeated; shortening so leaves the least head.  A
+    stream with a nonempty least head has finitely many palindromic
+    prefixes (the ``evperiodic`` suite checks this), and r^w with r
+    primitive has infinitely many exactly when r is a product of two
+    palindromes.
+    """
+    head, period = tuple(head), tuple(period)
+    while head and head[-1] == period[-1]:
+        head, period = head[:-1], period[-1:] + period[:-1]
+    if head:
+        return False
+    p = _minimal_full_period(period)
+    root = period[:p] if len(period) % p == 0 else period
+    return product_of_two_palindromes(root) is not None
+
+
+def _binary_rule(source, w: Sequence[int], prefix_max: int,
+                 pp: Sequence[int]) -> str:
+    """Frid, Puzynina and Zamboni's rule: a stream with infinitely many
+    palindromic prefixes whose every prefix is a product of at most two
+    palindromes is over at most two letters.
+
+    A finite word, or a prefix maximum above 2 within the horizon, is
+    ``inapplicable``.  Periodic and eventually periodic streams decide the
+    first hypothesis from their spec; other streams take three palindromic
+    prefixes within the horizon (``pp``) as a stand-in.  A third letter is
+    ``horizon-limited``: a prefix past the horizon may need three palindromes.
+    """
+    if not isinstance(source, InfiniteWord) or prefix_max > 2:
         return "inapplicable"
-    return "pass" if len(set(w)) <= 2 else "fail"
+    letters = set(w)
+    if isinstance(source, (Periodic, EventuallyPeriodic)):
+        head = getattr(source, "head", ())
+        letters.update(head, source.period)
+        if not _infinitely_many_palindromic_prefixes(head, source.period):
+            return "inapplicable"
+    elif len(pp) < 3:
+        return "inapplicable"
+    return "pass" if len(letters) <= 2 else "horizon-limited"
 
 
 def bound_report(stream, horizon: int, factor_window: int = 100) -> BoundReport:
@@ -93,7 +133,7 @@ def bound_report(stream, horizon: int, factor_window: int = 100) -> BoundReport:
     prefix_max, pp = _prefix_statistics(w)
     factor_max = _windowed_factor_max(w, factor_window)
     verdicts = {
-        "bounded_by_2_implies_binary": _binary_rule(w, prefix_max, pp),
+        "bounded_by_2_implies_binary": _binary_rule(stream, w, prefix_max, pp),
         "prefix_gap_monotone": (("pass" if gap_sequence(pp).monotone else "fail")
                                 if len(pp) >= 3 else "inapplicable"),
     }
@@ -103,7 +143,7 @@ def bound_report(stream, horizon: int, factor_window: int = 100) -> BoundReport:
 def alphabet_bound_check(stream, horizon: int) -> str:
     """The binary-alphabet rule of ``bound_report`` on its own."""
     w = materialize(stream, horizon)
-    return _binary_rule(w, *_prefix_statistics(w))
+    return _binary_rule(stream, w, *_prefix_statistics(w))
 
 
 # --------------------------------------------------------------------------
@@ -503,17 +543,8 @@ class Classification:
 
 
 def _minimal_full_period(w: Sequence[int]) -> int:
-    n = len(w)
-    # failure function of the prefix gives the smallest full-prefix period
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and w[i] != w[k]:
-            k = fail[k - 1]
-        if w[i] == w[k]:
-            k += 1
-        fail[i] = k
-    return n - fail[-1] if n else 0
+    # the longest border of the whole word gives its smallest period
+    return len(w) - failure_table(w)[-1] if w else 0
 
 
 def classify_bound2(stream, horizon: int, factor_window: int = 100,

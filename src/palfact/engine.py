@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 from .eertree import PalindromeIndex
 from .streams import materialize, spec_of
-from .words import is_palindrome
+from .words import failure_table
 
 
 class PalindromicPrefixSeq:
@@ -67,9 +67,15 @@ def palindromic_prefixes(stream, horizon: int) -> PalindromicPrefixSeq:
 def gap_sequence(seq) -> GapSequence:
     """Gaps between consecutive palindromic-prefix lengths.
 
-    For any stream with infinitely many palindromic prefixes the gaps are
-    non-decreasing; a decrease is a genuine counterexample and callers treat
-    it as a failure, not a flag.
+    The gaps of every word's palindromic prefixes are non-decreasing.  Take
+    consecutive palindromic prefixes u < v < w.  A palindromic prefix of a
+    palindrome is also its suffix, so w has period w - v, and so has v.  If
+    w - v < v, then v's prefix of length v - (w - v) is a palindrome (it is
+    a border of v), so it is at most u.  Either way w - v >= v - u.  A
+    decrease therefore means the lengths are wrong (``lps``, where they come
+    from), never a counterexample from the paper: ``bound_report``'s
+    ``prefix_gap_monotone`` and the ``gaps`` suite's monotone claim check the
+    index.  Callers treat a decrease as a failure, not a flag.
     """
     lengths = tuple(seq)
     if len(lengths) < 2:
@@ -79,19 +85,33 @@ def gap_sequence(seq) -> GapSequence:
     return GapSequence(gaps, monotone)
 
 
+def _palindromic_prefix_set(t: tuple) -> set[int]:
+    """Lengths of the palindromic prefixes of ``t``, 0 included, with no
+    index: a prefix of t that is also a suffix of rev(t) is a palindrome, so
+    they are the borders of t + (-1,) + rev(t), read off its failure
+    function in O(|t|)."""
+    fail = failure_table(t + (-1,) + t[::-1])
+    out = {0}
+    k = fail[-1]
+    while k:
+        out.add(k)
+        k = fail[k - 1]
+    return out
+
+
 def product_of_two_palindromes(w: Sequence[int]) -> Optional[int]:
     """A split position p with w[1..p] and w[p+1..] both palindromes, or None.
 
     The empty side counts as a palindrome.  For primitive w, the existence of
     such a split decides whether the periodic stream over w contains
-    arbitrarily long palindromic factors.  Scans from the right, so a
-    palindromic input reports the full-length split.
+    arbitrarily long palindromic factors, and whether it has infinitely many
+    palindromic prefixes.  Reports the largest split, so a palindromic input
+    reports the full-length split.  Linear in |w|.
     """
     n = len(w)
     if n == 0:
         raise ValueError("split test needs a nonempty word")
     t = tuple(w)
-    for p in range(n, -1, -1):
-        if is_palindrome(t[:p]) and is_palindrome(t[p:]):
-            return p
-    return None
+    suffixes = _palindromic_prefix_set(t[::-1])
+    return max((p for p in _palindromic_prefix_set(t) if n - p in suffixes),
+               default=None)

@@ -14,7 +14,8 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import oracles
 from .analysis import (
@@ -222,17 +223,20 @@ def verify_u_suffixes(
     return result
 
 
-def _fresh_pair(w: Sequence[int]) -> tuple[int, int]:
-    top = max(w) + 1
-    return top, top + 1
+def binary_words(length: int) -> Iterator[tuple[int, ...]]:
+    """Every word of the given length over {0, 1}, word b having bit i of b
+    as its letter i, so word b of length k is the k-prefix of word b of any
+    greater length."""
+    for bits in range(2**length):
+        yield tuple((bits >> i) & 1 for i in range(length))
 
 
 def build_gap_word(n: int) -> Word:
     """M_n = (m_n minus first symbol) a b (m_n minus last symbol) with a, b
     fresh symbols above everything in m_n."""
     m = multibonacci(n)
-    a, b = _fresh_pair(m)
-    return m[1:] + Word((a, b)) + m[:-1]
+    a = max(m) + 1
+    return m[1:] + Word((a, a + 1)) + m[:-1]
 
 
 def verify_multibonacci(n_max: int = 10) -> ExperimentResult:
@@ -581,10 +585,9 @@ def gap_suite(horizon: int = 10**4) -> ExperimentResult:
                                 gs.gaps[-3:] if len(gs.gaps) >= 3 else gs.gaps)
             )
     # split test against long-palindrome production in periodic streams
-    mism = []
+    mism = 0
     for length in range(1, 11):
-        for bits in range(2**length):
-            w = Word(tuple((bits >> i) & 1 for i in range(length)))
+        for w in binary_words(length):
             if not is_primitive(w):
                 continue
             split = product_of_two_palindromes(w)
@@ -602,14 +605,13 @@ def gap_suite(horizon: int = 10**4) -> ExperimentResult:
                 if long_count >= 20:
                     break
             rich = long_count >= 20
-            if (split is not None) != rich:
-                mism.append(w)
+            mism += (split is not None) != rich
     result.claims.append(
         _eq_claim(
             "two-palindrome split of a primitive word coincides with its "
             "periodic stream producing >= 20 distinct palindromic factors "
             "longer than the period (all binary words up to length 10)",
-            0, len(mism)
+            0, mism
         )
     )
     return result
@@ -627,32 +629,26 @@ def eventually_periodic_suite(horizon: int = 200, min_prefixes: int = 5) -> Expe
     result = ExperimentResult(
         "evperiodic", {"horizon": horizon, "min_prefixes": min_prefixes}
     )
-    flagged = []
-    checked = 0
-    for ulen in range(0, 4):
-        for ubits in range(2**ulen):
-            u = Word(tuple((ubits >> i) & 1 for i in range(ulen)))
-            for vlen in range(1, 4):
-                for vbits in range(2**vlen):
-                    v = Word(tuple((vbits >> i) & 1 for i in range(vlen)))
-                    stream = EventuallyPeriodic(u, v)
-                    w = stream.prefix(horizon)
-                    pp = palindromic_prefixes(w, horizon)
-                    if len(pp) < min_prefixes or pp.lengths[-1] < horizon // 2:
-                        continue
-                    checked += 1
-                    pure = any(
-                        all(w[i] == w[i - p] for i in range(p, horizon))
-                        for p in range(1, ulen + vlen + 1)
-                    )
-                    if not pure:
-                        flagged.append((str(u), str(v)))
+    flagged = checked = 0
+    for ulen, vlen in product(range(0, 4), range(1, 4)):
+        for u, v in product(binary_words(ulen), binary_words(vlen)):
+            w = EventuallyPeriodic(u, v).prefix(horizon)
+            pp = palindromic_prefixes(w, horizon)
+            if len(pp) < min_prefixes or pp.lengths[-1] < horizon // 2:
+                continue
+            checked += 1
+            pure = any(
+                all(w[i] == w[i - p] for i in range(p, horizon))
+                for p in range(1, ulen + vlen + 1)
+            )
+            if not pure:
+                flagged += 1
     result.claims.append(
         _eq_claim(
             f"every eventually periodic stream with >= {min_prefixes} "
             f"palindromic prefixes reaching the top half of horizon "
             f"{horizon} is purely periodic ({checked} streams qualified)",
-            0, len(flagged)
+            0, flagged
         )
     )
     return result
@@ -663,34 +659,31 @@ def _random_word(rng: random.Random, max_len: int, alphabet: int) -> Word:
     return Word(tuple(rng.randrange(alphabet) for _ in range(n)))
 
 
-def oracles_suite(seed: int = 0) -> ExperimentResult:
-    """Three-way agreement of the factor-count implementations."""
-    result = ExperimentResult("oracles", {"seed": seed})
+def _table_mismatches(words: Iterable[Sequence[int]]) -> int:
+    """Words on which ``pal_dp`` or ``pal_fast`` gives another prefix table
+    than ``oracles.brute_pal_table``."""
     mism = 0
-    for length in range(0, 13):
-        for bits in range(2**length):
-            w = tuple((bits >> i) & 1 for i in range(length))
-            brute = oracles.brute_pal_table(w)
-            if (
-                list(pal_dp(w)[1].values) != brute
-                or list(pal_fast(w)[1].values) != brute
-            ):
-                mism += 1
+    for w in words:
+        brute = oracles.brute_pal_table(w)
+        mism += (list(pal_dp(w)[1].values) != brute
+                 or list(pal_fast(w)[1].values) != brute)
+    return mism
+
+
+def oracles_suite(seed: int = 0) -> ExperimentResult:
+    """Three-way agreement of the factor-count implementations.  The tables
+    list every prefix, so those of the length-12 binary words cover every
+    shorter binary word."""
+    result = ExperimentResult("oracles", {"seed": seed})
     result.claims.append(
-        _eq_claim("table agreement on all binary words up to length 12", 0, mism)
+        _eq_claim("table agreement on all binary words up to length 12", 0,
+                  _table_mismatches(binary_words(12)))
     )
     rng = random.Random(seed)
-    mism = 0
-    for _ in range(200):
-        w = _random_word(rng, 300, rng.choice((2, 3, 4)))
-        brute = oracles.brute_pal_table(w)
-        if (
-            list(pal_dp(w)[1].values) != brute
-            or list(pal_fast(w)[1].values) != brute
-        ):
-            mism += 1
+    randoms = (_random_word(rng, 300, rng.choice((2, 3, 4))) for _ in range(200))
     result.claims.append(
-        _eq_claim("table agreement on 200 random words up to length 300", 0, mism)
+        _eq_claim("table agreement on 200 random words up to length 300", 0,
+                  _table_mismatches(randoms))
     )
     return result
 
@@ -701,8 +694,7 @@ def lps_suite(seed: int = 0) -> ExperimentResult:
     result = ExperimentResult("lps", {"seed": seed})
     mism = nodes_bad = 0
     for length in range(0, 12):
-        for bits in range(2**length):
-            w = tuple((bits >> i) & 1 for i in range(length))
+        for w in binary_words(length):
             idx = PalindromeIndex(w)
             if idx.lps != oracles.brute_lps_array(w):
                 mism += 1
@@ -743,9 +735,11 @@ def lps_suite(seed: int = 0) -> ExperimentResult:
 def greedy_suite(seed: int = 0) -> ExperimentResult:
     result = ExperimentResult("greedy", {"seed": seed})
     bad_floor = bad_dual = bad_greedy = 0
+    # left-greedy counts of every prefix: word b of length k is the k-prefix
+    # of word b of length 12, so its count is entry k - 1 of that profile
+    profiles = [lgpal_profile(w) for w in binary_words(12)]
     for length in range(0, 13):
-        for bits in range(2**length):
-            w = Word(tuple((bits >> i) & 1 for i in range(length)))
+        for bits, w in enumerate(binary_words(length)):
             try:
                 _, lg, rg = gap_witness(w)
             except RuntimeError:  # the minimum exceeds a greedy count
@@ -755,7 +749,7 @@ def greedy_suite(seed: int = 0) -> ExperimentResult:
                 bad_greedy += 1
             # the forward series-link walk shares no step with gap_witness's
             # right-greedy pass over the reversal
-            if lg != (lgpal_profile(w)[-1] if w else 0):
+            if lg != (profiles[bits][length - 1] if w else 0):
                 bad_dual += 1
     result.claims.append(
         _eq_claim("minimum <= both greedy counts on all binary words up to "
@@ -786,16 +780,16 @@ def greedy_suite(seed: int = 0) -> ExperimentResult:
 
 # Heaviest first, the order in which run_suites hands suites to its workers.
 # Median in-process times over seeds 0-4 on a 2-vCPU x86 host, Python 3.11.7:
-# greedy 558 ms, oracles 557, gaps 259, lps 251, bound2 77, nextsets 42,
-# evperiodic 39, uword 38, ladder 34, floors 17, multibonacci 11, occdiff 4.
+# greedy 366 ms, oracles 273, gaps 208, lps 185, bound2 65, evperiodic 34,
+# nextsets 24, uword 24, ladder 23, floors 16, multibonacci 10, occdiff 4.
 SUITES: dict[str, Callable[..., ExperimentResult]] = {
     "greedy": lambda seed=0: greedy_suite(seed),
     "oracles": lambda seed=0: oracles_suite(seed),
     "gaps": lambda seed=0: gap_suite(),
     "lps": lambda seed=0: lps_suite(seed),
     "bound2": lambda seed=0: bound2_suite(),
-    "nextsets": lambda seed=0: next_sets_suite(),
     "evperiodic": lambda seed=0: eventually_periodic_suite(),
+    "nextsets": lambda seed=0: next_sets_suite(),
     "uword": lambda seed=0: verify_u_suffixes(),
     "ladder": lambda seed=0: ladder_experiment(),
     "floors": lambda seed=0: prefix_floor_experiment(),

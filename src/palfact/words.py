@@ -215,6 +215,20 @@ def is_primitive(w: Sequence[int]) -> bool:
     return True
 
 
+def failure_table(w: Sequence[int]) -> list[int]:
+    """fail[i] is the length of the longest proper border of w[:i + 1]
+    (the Knuth-Morris-Pratt failure function), in O(|w|)."""
+    fail = [0] * len(w)
+    k = 0
+    for i in range(1, len(w)):
+        while k and w[i] != w[k]:
+            k = fail[k - 1]
+        if w[i] == w[k]:
+            k += 1
+        fail[i] = k
+    return fail
+
+
 def count_occurrences(w: Sequence[int], factor: Sequence[int]) -> int:
     """Number of (possibly overlapping) occurrences of ``factor`` in ``w``."""
     f = tuple(factor)

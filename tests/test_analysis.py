@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from palfact import (
     verify_next_closed_forms,
 )
 from palfact.analysis import validate_next_member
+from palfact.eertree import PalindromeIndex
+from palfact.engine import palindromic_prefix_lengths
 from palfact.oracles import brute_pal_table
 from palfact.streams import materialize, parse_spec
 
@@ -55,6 +58,47 @@ def test_alphabet_bound_check():
     assert alphabet_bound_check(Periodic(w("ab")), 500) == "pass"
     assert alphabet_bound_check(Periodic(w("abac")), 500) == "inapplicable"
     assert alphabet_bound_check(Periodic(w("a")), 500) == "pass"
+
+
+@pytest.mark.parametrize("spec, horizon, window, verdict", [
+    # every prefix is in P^2 and there are four palindromic prefixes, but
+    # the rule is about infinitely many: aaabaaa c^w has finitely many
+    ("evper:aaabaaa|c", 1000, 100, "inapplicable"),
+    # a finite word is outside the rule, however many prefixes it has
+    ("lit:aaabaaac", 8, 8, "inapplicable"),
+    ("lit:abababac", 8, 8, "inapplicable"),
+    # (aaabaaac)^w has infinitely many (aaabaaa.c splits its period), and
+    # its prefix of length 9 needs three palindromes
+    ("periodic:aaabaaac", 8, 8, "horizon-limited"),
+    ("periodic:aaabaaac", 9, 9, "inapplicable"),
+    # the third letter lies beyond the horizon, but it is in the spec
+    ("periodic:abac", 3, 3, "horizon-limited"),
+    # a(abba)^w is (aabb)^w; a(baa)^w is (aba)^w
+    ("evper:a|abba", 1000, 100, "pass"),
+    ("evper:a|baa", 1000, 100, "pass"),
+    ("evper:aab|a", 1000, 100, "inapplicable"),
+])
+def test_binary_rule_needs_infinitely_many_palindromic_prefixes(spec, horizon,
+                                                                window, verdict):
+    source = parse_spec(spec)
+    rep = bound_report(source, horizon, window)
+    assert rep.verdicts["bounded_by_2_implies_binary"] == verdict
+    assert alphabet_bound_check(source, horizon) == verdict
+
+
+def test_binary_rule_decides_the_hypothesis_as_the_index_does():
+    # a stream has infinitely many palindromic prefixes when one lies in the
+    # top half of a long horizon (heads <= 2, periods <= 4, three letters)
+    decide = palfact.analysis._infinitely_many_palindromic_prefixes
+    for hl in range(3):
+        for head in itertools.product(range(3), repeat=hl):
+            for pl in range(1, 5):
+                for period in itertools.product(range(3), repeat=pl):
+                    stream = EventuallyPeriodic(head, period)
+                    pp = palindromic_prefix_lengths(
+                        PalindromeIndex(stream.prefix(200)).lps)
+                    want = bool(pp) and pp[-1] > 100
+                    assert decide(head, period) == want, (head, period)
 
 
 def bound2_suite_streams():

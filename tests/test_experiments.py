@@ -25,6 +25,7 @@ from palfact import (
 from palfact import experiments
 from palfact.cli import main
 from palfact.eertree import PalindromeIndex, SharedEertree
+from palfact.pallen import PalPrefixTable
 from palfact.experiments import (
     SUITES,
     _lower_bound_provable,
@@ -346,6 +347,35 @@ def test_greedy_suite_catches_an_off_by_one_left_greedy_walk(monkeypatch):
     assert not result.ok
     failed = {c.description for c in result.failures()}
     assert "left-greedy equals right-greedy of the reversal" in failed
+
+
+@pytest.mark.parametrize("name", ["pal_fast", "pal_dp"])
+def test_oracles_suite_catches_a_fault_at_one_short_prefix_length(monkeypatch, name):
+    # the exhaustive claim compares the tables of the length-12 words only,
+    # so a fault confined to the 5-prefix must show up in those tables
+    original = getattr(experiments, name)
+
+    def bumped(w):
+        count, table = original(w)
+        values = table.values
+        if len(values) > 5:
+            values = values[:5] + (values[5] + 1,) + values[6:]
+        return count, PalPrefixTable(values)
+
+    monkeypatch.setattr(experiments, name, bumped)
+    result = SUITES["oracles"]()
+    failed = {c.description: c.observed for c in result.failures()}
+    assert failed["table agreement on all binary words up to length 12"] == "4096"
+
+
+def test_binary_words_extend_one_another():
+    assert list(experiments.binary_words(0)) == [()]
+    assert list(experiments.binary_words(2)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    # word b of length k is the k-prefix of word b of length 12
+    longest = list(experiments.binary_words(12))
+    for k in range(13):
+        for bits, w in enumerate(experiments.binary_words(k)):
+            assert longest[bits][:k] == w
 
 
 def test_greedy_suite_counts_a_raising_gap_witness_as_a_failed_floor(monkeypatch, capsys):
